@@ -48,10 +48,8 @@ use menda_dram::{fnv1a, Decoder, Encoder, MappingScheme, RowPolicy, SnapError};
 
 use crate::backend::ResumableBackend;
 use crate::config::MendaConfig;
-use crate::engine::{Engine, KernelSpec};
-use crate::job::job_fingerprint;
-use crate::pu::PuResult;
-use crate::stats::RunStats;
+use crate::engine::{fan_out, Engine, KernelSpec};
+use crate::job::{job_fingerprint, PuJob};
 
 /// Magic bytes opening every snapshot container.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"MENDACKP";
@@ -219,8 +217,53 @@ impl<T> SnapshotOutcome<T> {
     }
 }
 
-/// Per-unit worker outcome inside a checkpoint run.
-type UnitOutcome = (Option<Vec<u8>>, Option<PuResult>);
+/// One unit of a [`LiveLaunch`]: the backend's device model, its
+/// in-flight run, and the job fingerprint its serialized state is keyed
+/// by.
+struct LiveUnit<B: ResumableBackend> {
+    unit: B::Unit,
+    run: B::Run,
+    fingerprint: u64,
+    done: bool,
+}
+
+/// A kernel launch held live in memory: every unit with its in-flight
+/// [`ResumableBackend::Run`], started fresh ([`Engine::start`]) or
+/// restored from a snapshot container ([`Engine::restore`]).
+///
+/// A launch advances in steps ([`LiveLaunch::advance`]), can be captured
+/// at any pause point ([`LiveLaunch::snapshot`]) and ends with
+/// [`LiveLaunch::finish`]. Advancing in several steps is bit-identical to
+/// one unbounded step, so a caller that runs a job in quanta keeps the
+/// launch live between them and pays for no serialization at all; the
+/// snapshot entry points ([`Engine::run_to_cycle`], [`Engine::resume`],
+/// [`Engine::resume_to_cycle`]) are compositions of the same steps.
+///
+/// A restored launch runs every step under `catch_unwind`: a forged
+/// container (valid checksum over tampered bytes) can decode into a
+/// machine state the simulator could never reach, and the in-simulator
+/// assertions that then fire — the PU deadlock watchdog, slice bounds
+/// during result assembly — surface as [`SnapshotError::Corrupt`] rather
+/// than unwinding into the caller. Drop a launch once a step has failed.
+pub(crate) struct LiveLaunch<'l, B: ResumableBackend, S: KernelSpec> {
+    engine: &'l Engine<'l, B>,
+    spec: &'l S,
+    units: Vec<LiveUnit<B>>,
+    restored: bool,
+}
+
+/// Runs one launch step, containing a panic as
+/// [`SnapshotError::Corrupt`] when the launch was restored from bytes.
+fn contain<T>(
+    restored: bool,
+    step: impl FnOnce() -> Result<T, SnapshotError>,
+) -> Result<T, SnapshotError> {
+    if !restored {
+        return step();
+    }
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(step))
+        .unwrap_or(Err(SnapshotError::Corrupt))
+}
 
 impl<'a, B: ResumableBackend> Engine<'a, B> {
     /// Runs `spec` until every unit finishes or reaches device cycle
@@ -236,7 +279,7 @@ impl<'a, B: ResumableBackend> Engine<'a, B> {
         spec: &S,
         pause_at: u64,
     ) -> Result<SnapshotOutcome<S::Output>, SnapshotError> {
-        self.checkpoint_run(spec, None, Some(pause_at))
+        self.start(spec)?.settle(Some(pause_at))
     }
 
     /// Restores a snapshot produced by [`Engine::run_to_cycle`] (or
@@ -256,10 +299,7 @@ impl<'a, B: ResumableBackend> Engine<'a, B> {
         spec: &S,
         snapshot: &[u8],
     ) -> Result<S::Output, SnapshotError> {
-        match self.checkpoint_run(spec, Some(snapshot), None)? {
-            SnapshotOutcome::Finished(out) => Ok(out),
-            SnapshotOutcome::Paused(_) => unreachable!("unbounded resume cannot pause"),
-        }
+        self.restore(spec, snapshot)?.finish()
     }
 
     /// Restores a snapshot and runs until completion or `pause_at`,
@@ -275,179 +315,118 @@ impl<'a, B: ResumableBackend> Engine<'a, B> {
         snapshot: &[u8],
         pause_at: u64,
     ) -> Result<SnapshotOutcome<S::Output>, SnapshotError> {
-        self.checkpoint_run(spec, Some(snapshot), Some(pause_at))
+        self.restore(spec, snapshot)?.settle(Some(pause_at))
     }
 
-    fn checkpoint_run<S: KernelSpec>(
-        &self,
-        spec: &S,
-        snapshot: Option<&[u8]>,
-        pause_at: Option<u64>,
-    ) -> Result<SnapshotOutcome<S::Output>, SnapshotError> {
+    /// Starts `spec` as a [`LiveLaunch`]: builds every unit and starts its
+    /// job without advancing it.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::TracingActive`] when instrumentation is enabled.
+    pub(crate) fn start<'l, S: KernelSpec>(
+        &'l self,
+        spec: &'l S,
+    ) -> Result<LiveLaunch<'l, B, S>, SnapshotError> {
+        self.refuse_tracing()?;
+        let units = fan_out(self.unit_threads(), 0..self.config().num_pus(), |p| {
+            let (unit, job, fingerprint) = self.build_unit(spec, p)?;
+            let run = self.backend().start_job(&unit, job);
+            Ok::<_, SnapshotError>(LiveUnit {
+                unit,
+                run,
+                fingerprint,
+                done: false,
+            })
+        });
+        Ok(LiveLaunch {
+            engine: self,
+            spec,
+            units: units.into_iter().collect::<Result<_, _>>()?,
+            restored: false,
+        })
+    }
+
+    /// Restores a snapshot container into a [`LiveLaunch`] of `spec`,
+    /// after validating the container envelope and every per-unit job
+    /// fingerprint.
+    ///
+    /// # Errors
+    ///
+    /// Any [`SnapshotError`] describing why the snapshot cannot be
+    /// restored; no state is applied on error.
+    pub(crate) fn restore<'l, S: KernelSpec>(
+        &'l self,
+        spec: &'l S,
+        snapshot: &[u8],
+    ) -> Result<LiveLaunch<'l, B, S>, SnapshotError> {
+        self.refuse_tracing()?;
+        let blobs = self.parse_container(snapshot, self.config().num_pus())?;
+        // Each unit restores under its own net so a forged blob is
+        // contained before it can unwind through a fan-out worker.
+        let units = contain(true, || {
+            fan_out(
+                self.unit_threads(),
+                blobs.into_iter().enumerate(),
+                |(p, blob)| contain(true, || self.restore_unit(spec, p, blob)),
+            )
+            .into_iter()
+            .collect()
+        })?;
+        Ok(LiveLaunch {
+            engine: self,
+            spec,
+            units,
+            restored: true,
+        })
+    }
+
+    fn refuse_tracing(&self) -> Result<(), SnapshotError> {
         if self.config().trace.enabled() || self.config().dram.trace.enabled() {
             return Err(SnapshotError::TracingActive);
         }
-        let pus = self.config().num_pus();
-        let unit_blobs: Option<Vec<&[u8]>> = match snapshot {
-            Some(bytes) => Some(self.parse_container(bytes, pus)?),
-            None => None,
-        };
-        // A *forged* snapshot (valid checksum over tampered bytes) can
-        // decode into a machine state the simulator could never reach.
-        // The in-simulator assertions that then fire — the PU deadlock
-        // watchdog, slice bounds during result assembly — must surface
-        // as `Corrupt`, not unwind into the caller, so the whole
-        // restored flow runs under `catch_unwind`.
-        if unit_blobs.is_some() {
-            return std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.checkpoint_run_inner(spec, unit_blobs, pause_at)
-            }))
-            .unwrap_or(Err(SnapshotError::Corrupt));
-        }
-        self.checkpoint_run_inner(spec, unit_blobs, pause_at)
+        Ok(())
     }
 
-    fn checkpoint_run_inner<S: KernelSpec>(
-        &self,
-        spec: &S,
-        unit_blobs: Option<Vec<&[u8]>>,
-        pause_at: Option<u64>,
-    ) -> Result<SnapshotOutcome<S::Output>, SnapshotError> {
-        let pus = self.config().num_pus();
-        let threads = self.config().sim.effective_threads(pus);
-        let outcomes: Vec<Result<UnitOutcome, SnapshotError>> = if threads <= 1 {
-            (0..pus)
-                .map(|p| self.checkpoint_pu(spec, p, unit_blobs.as_ref().map(|b| b[p]), pause_at))
-                .collect()
-        } else {
-            self.checkpoint_parallel(spec, pus, threads, unit_blobs.as_deref(), pause_at)
-        };
-        let mut blobs = Vec::with_capacity(pus);
-        let mut results = Vec::with_capacity(pus);
-        for outcome in outcomes {
-            let (blob, result) = outcome?;
-            blobs.push(blob);
-            results.push(result);
-        }
-        if results.iter().all(|r| r.is_some()) {
-            let results: Vec<PuResult> = results.into_iter().map(|r| r.unwrap()).collect();
-            let mut run = RunStats::collect(
-                self.backend().frequency_mhz(self.config()),
-                results.iter().map(|r| r.stats.clone()).collect(),
-            );
-            run.backend = self.backend().name();
-            Ok(SnapshotOutcome::Finished(spec.assemble(results, run)))
-        } else {
-            debug_assert!(pause_at.is_some(), "unbounded run left unfinished units");
-            let blobs: Vec<Vec<u8>> = blobs
-                .into_iter()
-                .map(|b| b.expect("paused run must serialize every unit"))
-                .collect();
-            Ok(SnapshotOutcome::Paused(self.encode_container(&blobs)))
-        }
-    }
-
-    /// Runs one unit: restore (or start) its job, advance to the pause
-    /// target, and serialize unless the launch is unbounded.
-    ///
-    /// When restoring, the per-unit work runs under its own
-    /// `catch_unwind` so a forged unit blob is contained before it can
-    /// unwind through the threaded scheduler in
-    /// [`Engine::checkpoint_parallel`] (whose join would otherwise
-    /// re-panic); [`Engine::checkpoint_run`] holds the outer net around
-    /// result assembly.
-    fn checkpoint_pu<S: KernelSpec>(
+    /// Builds unit `p` and its job; checkpointing is refused if the unit
+    /// came up with an instrumentation sink attached.
+    fn build_unit<S: KernelSpec>(
         &self,
         spec: &S,
         p: usize,
-        unit_blob: Option<&[u8]>,
-        pause_at: Option<u64>,
-    ) -> Result<UnitOutcome, SnapshotError> {
-        if unit_blob.is_some() {
-            return std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.checkpoint_pu_inner(spec, p, unit_blob, pause_at)
-            }))
-            .unwrap_or(Err(SnapshotError::Corrupt));
-        }
-        self.checkpoint_pu_inner(spec, p, unit_blob, pause_at)
-    }
-
-    fn checkpoint_pu_inner<S: KernelSpec>(
-        &self,
-        spec: &S,
-        p: usize,
-        unit_blob: Option<&[u8]>,
-        pause_at: Option<u64>,
-    ) -> Result<UnitOutcome, SnapshotError> {
-        let backend = self.backend();
-        let mut unit = backend.build_unit(self.config());
-        if backend.tracing_active(&unit) {
+    ) -> Result<(B::Unit, PuJob, u64), SnapshotError> {
+        let unit = self.backend().build_unit(self.config());
+        if self.backend().tracing_active(&unit) {
             return Err(SnapshotError::TracingActive);
         }
         let job = spec.make_job(p);
         let fingerprint = job_fingerprint(&job);
-        let mut run = match unit_blob {
-            Some(bytes) => {
-                let mut dec = Decoder::new(bytes);
-                if dec.u64()? != fingerprint {
-                    return Err(SnapshotError::JobMismatch);
-                }
-                backend.restore_unit(&mut unit, &mut dec)?;
-                let run = backend.restore_run(&unit, job, &mut dec)?;
-                if !dec.is_empty() {
-                    return Err(SnapshotError::Corrupt);
-                }
-                run
-            }
-            None => backend.start_job(&unit, job),
-        };
-        let done = backend.advance(&mut unit, &mut run, pause_at);
-        let blob = pause_at.map(|_| {
-            let mut enc = Encoder::new();
-            enc.u64(fingerprint);
-            backend.save_unit(&unit, &mut enc);
-            backend.save_run(&run, &mut enc);
-            enc.into_bytes()
-        });
-        let result = done.then(|| backend.finish_run(&unit, run));
-        Ok((blob, result))
+        Ok((unit, job, fingerprint))
     }
 
-    fn checkpoint_parallel<S: KernelSpec>(
+    fn restore_unit<S: KernelSpec>(
         &self,
         spec: &S,
-        pus: usize,
-        threads: usize,
-        unit_blobs: Option<&[&[u8]]>,
-        pause_at: Option<u64>,
-    ) -> Vec<Result<UnitOutcome, SnapshotError>> {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let next = AtomicUsize::new(0);
-        let mut indexed: Vec<(usize, Result<UnitOutcome, SnapshotError>)> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|_| {
-                        scope.spawn(|| {
-                            let mut done = Vec::new();
-                            loop {
-                                let p = next.fetch_add(1, Ordering::Relaxed);
-                                if p >= pus {
-                                    break;
-                                }
-                                let blob = unit_blobs.map(|b| b[p]);
-                                done.push((p, self.checkpoint_pu(spec, p, blob, pause_at)));
-                            }
-                            done
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("checkpoint worker panicked"))
-                    .collect()
-            });
-        indexed.sort_unstable_by_key(|&(p, _)| p);
-        indexed.into_iter().map(|(_, r)| r).collect()
+        p: usize,
+        blob: &[u8],
+    ) -> Result<LiveUnit<B>, SnapshotError> {
+        let backend = self.backend();
+        let (mut unit, job, fingerprint) = self.build_unit(spec, p)?;
+        let mut dec = Decoder::new(blob);
+        if dec.u64()? != fingerprint {
+            return Err(SnapshotError::JobMismatch);
+        }
+        backend.restore_unit(&mut unit, &mut dec)?;
+        let run = backend.restore_run(&unit, job, &mut dec)?;
+        if !dec.is_empty() {
+            return Err(SnapshotError::Corrupt);
+        }
+        Ok(LiveUnit {
+            unit,
+            run,
+            fingerprint,
+            done: false,
+        })
     }
 
     /// Assembles the versioned container around per-unit payloads.
@@ -511,6 +490,93 @@ impl<'a, B: ResumableBackend> Engine<'a, B> {
             return Err(SnapshotError::Corrupt);
         }
         Ok(units)
+    }
+}
+
+impl<'l, B: ResumableBackend, S: KernelSpec> LiveLaunch<'l, B, S> {
+    /// Advances every unfinished unit until it finishes or its
+    /// job-relative cycle count reaches `pause_at` (`None` runs to
+    /// completion), serially or on the engine's scoped workers. Returns
+    /// whether every unit has finished.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Corrupt`] when a restored launch trips an
+    /// in-simulator assertion.
+    pub(crate) fn advance(&mut self, pause_at: Option<u64>) -> Result<bool, SnapshotError> {
+        if self.units.iter().all(|u| u.done) {
+            return Ok(true);
+        }
+        let (backend, restored) = (self.engine.backend(), self.restored);
+        let units = self.units.iter_mut();
+        contain(restored, || {
+            fan_out(self.engine.unit_threads(), units, |u| {
+                contain(restored, || {
+                    u.done = u.done || backend.advance(&mut u.unit, &mut u.run, pause_at);
+                    Ok(())
+                })
+            })
+            .into_iter()
+            .collect::<Result<(), _>>()
+        })?;
+        Ok(self.units.iter().all(|u| u.done))
+    }
+
+    /// Serializes the launch into a snapshot container: per unit, the job
+    /// fingerprint, the unit state and the run state (finished units
+    /// serialize their terminal state).
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Corrupt`] when a restored launch trips an
+    /// in-simulator assertion.
+    pub(crate) fn snapshot(&self) -> Result<Vec<u8>, SnapshotError> {
+        let backend = self.engine.backend();
+        contain(self.restored, || {
+            let blobs: Vec<Vec<u8>> = self
+                .units
+                .iter()
+                .map(|u| {
+                    let mut enc = Encoder::new();
+                    enc.u64(u.fingerprint);
+                    backend.save_unit(&u.unit, &mut enc);
+                    backend.save_run(&u.run, &mut enc);
+                    enc.into_bytes()
+                })
+                .collect();
+            Ok(self.engine.encode_container(&blobs))
+        })
+    }
+
+    /// Runs every unit to completion and assembles the kernel output.
+    ///
+    /// # Errors
+    ///
+    /// As [`LiveLaunch::advance`].
+    pub(crate) fn finish(mut self) -> Result<S::Output, SnapshotError> {
+        self.advance(None)?;
+        let (engine, spec) = (self.engine, self.spec);
+        let backend = engine.backend();
+        let units = self.units;
+        contain(self.restored, || {
+            let results = fan_out(engine.unit_threads(), units.into_iter(), |u| {
+                backend.finish_run(&u.unit, u.run)
+            });
+            Ok(engine.assemble(spec, results, None))
+        })
+    }
+
+    /// Advances to `pause_at`, then finishes if every unit did, or
+    /// captures the launch otherwise.
+    pub(crate) fn settle(
+        mut self,
+        pause_at: Option<u64>,
+    ) -> Result<SnapshotOutcome<S::Output>, SnapshotError> {
+        if self.advance(pause_at)? {
+            self.finish().map(SnapshotOutcome::Finished)
+        } else {
+            self.snapshot().map(SnapshotOutcome::Paused)
+        }
     }
 }
 

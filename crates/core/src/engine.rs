@@ -6,7 +6,7 @@
 //! partition (§3.5) — so the simulation of a kernel launch is
 //! embarrassingly parallel on the host: unit `p`'s result depends only on
 //! job `p`. [`Engine::run`] exploits that with `std::thread::scope`
-//! workers pulling unit indices from an atomic counter; results are
+//! workers pulling unit indices from a shared queue; results are
 //! reassembled in unit order, so the output is bit-identical to a serial
 //! run for any thread count ([`crate::SimOptions::threads`] picks the
 //! count).
@@ -21,7 +21,7 @@
 //! reference; the two are bit-identical in output, cycle count and
 //! statistics (see the fast-forward differential suites).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 use menda_trace::TraceReport;
 
@@ -93,25 +93,23 @@ impl<'a, B: AcceleratorBackend> Engine<'a, B> {
         &self.backend
     }
 
+    /// Host worker threads for one launch of this engine's units.
+    pub(crate) fn unit_threads(&self) -> usize {
+        self.config.sim.effective_threads(self.config.num_pus())
+    }
+
     /// Runs one kernel launch: builds and executes one job per unit, then
     /// assembles. With more than one worker thread the unit simulations
     /// run concurrently; outputs and statistics are identical to a serial
     /// run because units are independent.
     pub fn run<S: KernelSpec>(&self, spec: &S) -> S::Output {
-        let pus = self.config.num_pus();
-        let threads = self.config.sim.effective_threads(pus);
-        let outcomes = if threads <= 1 {
-            (0..pus).map(|p| self.run_pu(spec, p)).collect()
-        } else {
-            self.run_parallel(spec, pus, threads)
-        };
+        let outcomes = fan_out(self.unit_threads(), 0..self.config.num_pus(), |p| {
+            let mut unit = self.backend.build_unit(self.config);
+            let result = self.backend.execute_job(&mut unit, spec.make_job(p)).into();
+            (result, self.backend.take_trace_report(&mut unit))
+        });
         let (results, reports): (Vec<PuResult>, Vec<Option<TraceReport>>) =
             outcomes.into_iter().unzip();
-        let mut run = RunStats::collect(
-            self.backend.frequency_mhz(self.config),
-            results.iter().map(|r: &PuResult| r.stats.clone()).collect(),
-        );
-        run.backend = self.backend.name();
         // Aggregate per-unit trace reports in unit order so counters merge
         // deterministically and Chrome pids identify the unit.
         let mut aggregated: Option<TraceReport> = None;
@@ -122,48 +120,63 @@ impl<'a, B: AcceleratorBackend> Engine<'a, B> {
                     .absorb_as(report, p as u32);
             }
         }
-        run.trace = aggregated;
-        spec.assemble(results, run)
+        self.assemble(spec, results, aggregated)
     }
 
-    fn run_pu<S: KernelSpec>(&self, spec: &S, p: usize) -> (PuResult, Option<TraceReport>) {
-        let mut unit = self.backend.build_unit(self.config);
-        let result = self.backend.execute_job(&mut unit, spec.make_job(p)).into();
-        (result, self.backend.take_trace_report(&mut unit))
-    }
-
-    fn run_parallel<S: KernelSpec>(
+    /// Rolls per-unit results (in unit order) up into [`RunStats`] and
+    /// hands both to the kernel for assembly.
+    pub(crate) fn assemble<S: KernelSpec>(
         &self,
         spec: &S,
-        pus: usize,
-        threads: usize,
-    ) -> Vec<(PuResult, Option<TraceReport>)> {
-        let next = AtomicUsize::new(0);
-        let mut indexed: Vec<(usize, (PuResult, Option<TraceReport>))> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|_| {
-                        scope.spawn(|| {
-                            let mut done = Vec::new();
-                            loop {
-                                let p = next.fetch_add(1, Ordering::Relaxed);
-                                if p >= pus {
-                                    break;
-                                }
-                                done.push((p, self.run_pu(spec, p)));
-                            }
-                            done
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("PU worker panicked"))
-                    .collect()
-            });
-        indexed.sort_unstable_by_key(|&(p, _)| p);
-        indexed.into_iter().map(|(_, r)| r).collect()
+        results: Vec<PuResult>,
+        trace: Option<TraceReport>,
+    ) -> S::Output {
+        let mut run = RunStats::collect(
+            self.backend.frequency_mhz(self.config),
+            results.iter().map(|r| r.stats.clone()).collect(),
+        );
+        run.backend = self.backend.name();
+        run.trace = trace;
+        spec.assemble(results, run)
     }
+}
+
+/// Maps `f` over `items` and returns the results in item order: serially
+/// when `threads <= 1`, otherwise on `threads` scoped workers that each
+/// pull the next item off a shared queue. The one fan-out every per-unit
+/// step of a launch goes through, straight-through or checkpointed.
+pub(crate) fn fan_out<I, R, F>(threads: usize, items: I, f: F) -> Vec<R>
+where
+    I: Iterator + Send,
+    I::Item: Send,
+    R: Send,
+    F: Fn(I::Item) -> R + Sync,
+{
+    if threads <= 1 {
+        return items.map(f).collect();
+    }
+    let queue = Mutex::new(items.enumerate());
+    let mut indexed: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let next = queue.lock().expect("unit queue").next();
+                        let Some((i, item)) = next else { break };
+                        done.push((i, f(item)));
+                    }
+                    done
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("PU worker panicked"))
+            .collect()
+    });
+    indexed.sort_unstable_by_key(|&(i, _)| i);
+    indexed.into_iter().map(|(_, r)| r).collect()
 }
 
 #[cfg(test)]

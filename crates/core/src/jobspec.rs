@@ -17,6 +17,7 @@
 //! [`JobError`] instead.
 
 use std::fmt;
+use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use menda_dram::DramConfig;
@@ -35,7 +36,7 @@ use crate::pim::PimBackend;
 use crate::spgemm;
 use crate::spmv;
 use crate::stats::PuStats;
-use crate::system::{MendaSystem, TransposeSpec};
+use crate::system::TransposeSpec;
 
 /// Largest integer a JSON `f64` represents exactly; fields above this are
 /// rejected rather than silently rounded.
@@ -651,91 +652,14 @@ impl JobSpec {
     /// [`JobError::Failed`] if the simulation panics (the panic is caught
     /// so a hosting daemon survives; this indicates a simulator bug).
     pub fn execute(&self) -> Result<JobOutcome, JobError> {
-        let config = self.build_config()?;
-        let spec = self.clone();
-        catch_unwind(AssertUnwindSafe(move || spec.execute_inner(&config))).map_err(|panic| {
-            let msg = panic
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| panic.downcast_ref::<&str>().copied())
-                .unwrap_or("unknown panic");
-            JobError::Failed(msg.into())
-        })?
+        match self.run(Straight)? {
+            ControlFlow::Continue(outcome) => Ok(outcome),
+            ControlFlow::Break(never) => match never {},
+        }
     }
 
-    fn execute_inner(&self, config: &MendaConfig) -> Result<JobOutcome, JobError> {
-        let matrix = self.matrix.generate(self.scale, self.seed)?;
-        let (nrows, ncols, nnz) = (matrix.nrows(), matrix.ncols(), matrix.nnz());
-        let (cycles, seconds, checksum, out_nnz, pu_stats, trace_events) = match self.kernel {
-            JobKernel::Transpose => {
-                let r = MendaSystem::new(config.clone()).transpose_with(&matrix, self.backend);
-                let events = r.trace.as_ref().map(|t| t.sink.events);
-                (
-                    r.cycles,
-                    r.seconds,
-                    transpose_digest(&r),
-                    r.output.nnz() as u64,
-                    r.pu_stats,
-                    events,
-                )
-            }
-            JobKernel::Spmv => {
-                let x = derive_vector(ncols, self.seed);
-                let r = spmv::run_with_backend(
-                    config,
-                    &matrix,
-                    &x,
-                    spmv::SpmvOptions::default(),
-                    self.backend,
-                );
-                let events = r.trace.as_ref().map(|t| t.sink.events);
-                (
-                    r.cycles,
-                    r.seconds,
-                    spmv_digest(&r),
-                    r.y.len() as u64,
-                    r.pu_stats,
-                    events,
-                )
-            }
-            JobKernel::Spgemm => {
-                let b = self
-                    .matrix
-                    .generate(self.scale, self.seed ^ 0x0053_4745_4D4D_u64)?;
-                if matrix.ncols() != b.nrows() {
-                    return Err(JobError::Invalid(format!(
-                        "spgemm operands disagree: A is {}x{}, B is {}x{}",
-                        nrows,
-                        ncols,
-                        b.nrows(),
-                        b.ncols()
-                    )));
-                }
-                let r = spgemm::run_with_backend(config, &matrix, &b, self.backend);
-                (
-                    r.merge_cycles + r.multiply_cycles,
-                    r.seconds,
-                    spgemm_digest(&r),
-                    r.c.nnz() as u64,
-                    r.pu_stats,
-                    None,
-                )
-            }
-        };
-        Ok(self.finish_outcome(
-            (nrows, ncols, nnz),
-            cycles,
-            seconds,
-            checksum,
-            out_nnz,
-            &pu_stats,
-            trace_events,
-        ))
-    }
-
-    /// Assembles a [`JobOutcome`] — the single construction site shared
-    /// by the straight-through and preemptible paths, so both produce
-    /// byte-identical outcome JSON.
+    /// Assembles a [`JobOutcome`] — the single construction site for
+    /// every drive, so all of them produce byte-identical outcome JSON.
     #[allow(clippy::too_many_arguments)]
     fn finish_outcome(
         &self,
@@ -775,7 +699,7 @@ impl JobSpec {
     /// checkpointing (tracing active), [`JobError::Failed`] for caught
     /// simulator panics.
     pub fn execute_to_cycle(&self, pause_at: u64) -> Result<JobProgress, JobError> {
-        self.execute_bounded(None, Some(pause_at))
+        self.run_to_cycle(None, Some(pause_at))
     }
 
     /// Restores a snapshot from [`JobSpec::execute_to_cycle`] (or
@@ -787,85 +711,90 @@ impl JobSpec {
     /// for a different job/configuration, plus [`JobSpec::execute`]'s
     /// failure modes.
     pub fn resume(&self, snapshot: &[u8]) -> Result<JobOutcome, JobError> {
-        match self.execute_bounded(Some(snapshot), None)? {
+        match self.run_to_cycle(Some(snapshot), None)? {
             JobProgress::Finished(outcome) => Ok(outcome),
             JobProgress::Paused(_) => unreachable!("unbounded resume cannot pause"),
         }
     }
 
-    /// Restores a snapshot and runs until completion or `pause_at` — the
-    /// quantum step of preemptible execution.
+    /// Restores a snapshot and runs until completion or `pause_at`.
     ///
     /// # Errors
     ///
     /// Same failure modes as [`JobSpec::resume`].
     pub fn resume_to_cycle(&self, snapshot: &[u8], pause_at: u64) -> Result<JobProgress, JobError> {
-        self.execute_bounded(Some(snapshot), Some(pause_at))
+        self.run_to_cycle(Some(snapshot), Some(pause_at))
     }
 
-    fn execute_bounded(
+    /// Preemptible execution: runs the job in quanta of `quantum` device
+    /// cycles against live simulator state — no snapshot is encoded or
+    /// restored between quanta — and calls `at_boundary` with the
+    /// boundary cycle each time the run pauses at one. Returns
+    /// `Continue` with the finished [`JobOutcome`], byte-identical to
+    /// [`JobSpec::execute`]'s, or `Break` with the boundary cycle at which
+    /// `at_boundary` stopped the run.
+    ///
+    /// # Errors
+    ///
+    /// As [`JobSpec::execute_to_cycle`].
+    pub fn execute_in_quanta(
+        &self,
+        quantum: u64,
+        at_boundary: impl FnMut(u64) -> ControlFlow<()>,
+    ) -> Result<ControlFlow<u64, JobOutcome>, JobError> {
+        self.run(Quanta {
+            quantum: quantum.max(1),
+            at_boundary,
+        })
+    }
+
+    fn run_to_cycle(
         &self,
         snapshot: Option<&[u8]>,
         pause_at: Option<u64>,
     ) -> Result<JobProgress, JobError> {
-        let config = self.build_config()?;
-        catch_unwind(AssertUnwindSafe(|| {
-            self.execute_bounded_inner(&config, snapshot, pause_at)
-        }))
-        .map_err(|panic| {
-            let msg = panic
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| panic.downcast_ref::<&str>().copied())
-                .unwrap_or("unknown panic");
-            JobError::Failed(msg.into())
-        })?
+        Ok(match self.run(ToCycle { snapshot, pause_at })? {
+            ControlFlow::Continue(outcome) => JobProgress::Finished(outcome),
+            ControlFlow::Break(snapshot) => JobProgress::Paused(snapshot),
+        })
     }
 
-    fn execute_bounded_inner(
+    /// The one run path: validates, then runs the job under `drive`
+    /// inside `catch_unwind`, so a simulator panic fails the job instead
+    /// of the process hosting it.
+    fn run<D: Drive>(&self, drive: D) -> Result<ControlFlow<D::Stop, JobOutcome>, JobError> {
+        let config = self.build_config()?;
+        catch_unwind(AssertUnwindSafe(|| self.run_inner(&config, drive)))
+            .map_err(|panic| JobError::Failed(panic_message(panic.as_ref())))?
+    }
+
+    fn run_inner<D: Drive>(
         &self,
         config: &MendaConfig,
-        snapshot: Option<&[u8]>,
-        pause_at: Option<u64>,
-    ) -> Result<JobProgress, JobError> {
+        mut drive: D,
+    ) -> Result<ControlFlow<D::Stop, JobOutcome>, JobError> {
         let matrix = self.matrix.generate(self.scale, self.seed)?;
         let dims = (matrix.nrows(), matrix.ncols(), matrix.nnz());
-        match self.kernel {
+        let ended = match self.kernel {
             JobKernel::Transpose => {
                 let spec =
                     TransposeSpec::new(&matrix, RowPartition::by_nnz(&matrix, config.num_pus()));
-                let outcome = run_bounded(config, self.backend, &spec, snapshot, pause_at)
-                    .map_err(snapshot_error)?;
-                Ok(match outcome {
-                    SnapshotOutcome::Paused(bytes) => JobProgress::Paused(bytes),
-                    SnapshotOutcome::Finished(r) => JobProgress::Finished(self.finish_outcome(
-                        dims,
-                        r.cycles,
-                        r.seconds,
-                        transpose_digest(&r),
-                        r.output.nnz() as u64,
-                        &r.pu_stats,
-                        None,
-                    )),
+                dispatch(config, self.backend, &spec, &mut drive)?.map_continue(|r| {
+                    let events = r.trace.as_ref().map(|t| t.sink.events);
+                    let digest = transpose_digest(&r);
+                    let out_nnz = r.output.nnz() as u64;
+                    (r.cycles, r.seconds, digest, out_nnz, r.pu_stats, events)
                 })
             }
             JobKernel::Spmv => {
                 let x = derive_vector(dims.1, self.seed);
                 let spec =
                     spmv::make_spec(&matrix, &x, spmv::SpmvOptions::default(), config.num_pus());
-                let outcome = run_bounded(config, self.backend, &spec, snapshot, pause_at)
-                    .map_err(snapshot_error)?;
-                Ok(match outcome {
-                    SnapshotOutcome::Paused(bytes) => JobProgress::Paused(bytes),
-                    SnapshotOutcome::Finished(r) => JobProgress::Finished(self.finish_outcome(
-                        dims,
-                        r.cycles,
-                        r.seconds,
-                        spmv_digest(&r),
-                        r.y.len() as u64,
-                        &r.pu_stats,
-                        None,
-                    )),
+                dispatch(config, self.backend, &spec, &mut drive)?.map_continue(|r| {
+                    let events = r.trace.as_ref().map(|t| t.sink.events);
+                    let digest = spmv_digest(&r);
+                    let out_nnz = r.y.len() as u64;
+                    (r.cycles, r.seconds, digest, out_nnz, r.pu_stats, events)
                 })
             }
             JobKernel::Spgemm => {
@@ -886,22 +815,33 @@ impl JobSpec {
                     BackendKind::Pim => PimBackend.frequency_mhz(config),
                 };
                 let spec = spgemm::make_spec(&matrix, &b, config, frequency_mhz);
-                let outcome = run_bounded(config, self.backend, &spec, snapshot, pause_at)
-                    .map_err(snapshot_error)?;
-                Ok(match outcome {
-                    SnapshotOutcome::Paused(bytes) => JobProgress::Paused(bytes),
-                    SnapshotOutcome::Finished(r) => JobProgress::Finished(self.finish_outcome(
-                        dims,
-                        r.merge_cycles + r.multiply_cycles,
+                dispatch(config, self.backend, &spec, &mut drive)?.map_continue(|r| {
+                    let cycles = r.merge_cycles + r.multiply_cycles;
+                    let digest = spgemm_digest(&r);
+                    (
+                        cycles,
                         r.seconds,
-                        spgemm_digest(&r),
+                        digest,
                         r.c.nnz() as u64,
-                        &r.pu_stats,
+                        r.pu_stats,
                         None,
-                    )),
+                    )
                 })
             }
-        }
+        };
+        Ok(ended.map_continue(
+            |(cycles, seconds, checksum, out_nnz, pu_stats, trace_events)| {
+                self.finish_outcome(
+                    dims,
+                    cycles,
+                    seconds,
+                    checksum,
+                    out_nnz,
+                    &pu_stats,
+                    trace_events,
+                )
+            },
+        ))
     }
 }
 
@@ -915,34 +855,101 @@ pub enum JobProgress {
     Paused(Vec<u8>),
 }
 
-/// Dispatches a bounded engine run over the runtime-selected backend.
-fn run_bounded<S: KernelSpec>(
-    config: &MendaConfig,
-    kind: BackendKind,
-    spec: &S,
-    snapshot: Option<&[u8]>,
-    pause_at: Option<u64>,
-) -> Result<SnapshotOutcome<S::Output>, SnapshotError> {
-    match kind {
-        BackendKind::Menda => run_bounded_on(config, MendaBackend, spec, snapshot, pause_at),
-        BackendKind::Pim => run_bounded_on(config, PimBackend, spec, snapshot, pause_at),
+/// How a job execution drives the engine once [`JobSpec::run_inner`] has
+/// built the kernel spec and [`dispatch`] has picked the backend: either
+/// to the kernel's output (`Continue`) or to an early stop (`Break`).
+trait Drive {
+    /// What an execution that stops early ends with.
+    type Stop;
+
+    fn drive<B: ResumableBackend, S: KernelSpec>(
+        &mut self,
+        engine: &Engine<'_, B>,
+        spec: &S,
+    ) -> Result<ControlFlow<Self::Stop, S::Output>, SnapshotError>;
+}
+
+/// Uninterrupted execution ([`JobSpec::execute`]); the only drive that
+/// admits tracing.
+struct Straight;
+
+impl Drive for Straight {
+    type Stop = std::convert::Infallible;
+
+    fn drive<B: ResumableBackend, S: KernelSpec>(
+        &mut self,
+        engine: &Engine<'_, B>,
+        spec: &S,
+    ) -> Result<ControlFlow<Self::Stop, S::Output>, SnapshotError> {
+        Ok(ControlFlow::Continue(engine.run(spec)))
     }
 }
 
-fn run_bounded_on<B: ResumableBackend, S: KernelSpec>(
-    config: &MendaConfig,
-    backend: B,
-    spec: &S,
-    snapshot: Option<&[u8]>,
+/// Start (or restore `snapshot`) and run to `pause_at`, stopping with a
+/// snapshot if the launch paused.
+struct ToCycle<'s> {
+    snapshot: Option<&'s [u8]>,
     pause_at: Option<u64>,
-) -> Result<SnapshotOutcome<S::Output>, SnapshotError> {
-    let engine = Engine::with_backend(config, backend);
-    match (snapshot, pause_at) {
-        (None, Some(p)) => engine.run_to_cycle(spec, p),
-        (Some(s), None) => engine.resume(spec, s).map(SnapshotOutcome::Finished),
-        (Some(s), Some(p)) => engine.resume_to_cycle(spec, s, p),
-        (None, None) => unreachable!("bounded execution needs a snapshot or a pause target"),
+}
+
+impl Drive for ToCycle<'_> {
+    type Stop = Vec<u8>;
+
+    fn drive<B: ResumableBackend, S: KernelSpec>(
+        &mut self,
+        engine: &Engine<'_, B>,
+        spec: &S,
+    ) -> Result<ControlFlow<Vec<u8>, S::Output>, SnapshotError> {
+        let launch = match self.snapshot {
+            Some(bytes) => engine.restore(spec, bytes)?,
+            None => engine.start(spec)?,
+        };
+        Ok(match launch.settle(self.pause_at)? {
+            SnapshotOutcome::Finished(output) => ControlFlow::Continue(output),
+            SnapshotOutcome::Paused(bytes) => ControlFlow::Break(bytes),
+        })
     }
+}
+
+/// One live launch advanced a quantum at a time, asking `at_boundary`
+/// between quanta whether to go on; stops with the boundary cycle.
+struct Quanta<F> {
+    quantum: u64,
+    at_boundary: F,
+}
+
+impl<F: FnMut(u64) -> ControlFlow<()>> Drive for Quanta<F> {
+    type Stop = u64;
+
+    fn drive<B: ResumableBackend, S: KernelSpec>(
+        &mut self,
+        engine: &Engine<'_, B>,
+        spec: &S,
+    ) -> Result<ControlFlow<u64, S::Output>, SnapshotError> {
+        let mut launch = engine.start(spec)?;
+        let mut pause_at = self.quantum;
+        while !launch.advance(Some(pause_at))? {
+            if (self.at_boundary)(pause_at).is_break() {
+                return Ok(ControlFlow::Break(pause_at));
+            }
+            pause_at = pause_at.saturating_add(self.quantum);
+        }
+        launch.finish().map(ControlFlow::Continue)
+    }
+}
+
+/// Runs `drive` on the runtime-selected backend.
+fn dispatch<D: Drive, S: KernelSpec>(
+    config: &MendaConfig,
+    kind: BackendKind,
+    spec: &S,
+    drive: &mut D,
+) -> Result<ControlFlow<D::Stop, S::Output>, JobError> {
+    match kind {
+        BackendKind::Menda => drive.drive(&Engine::with_backend(config, MendaBackend), spec),
+        BackendKind::Pim => drive.drive(&Engine::with_backend(config, PimBackend), spec),
+    }
+    .map_err(snapshot_error)
 }
 
 /// Maps a checkpoint-layer error onto the job-layer error type: every
@@ -951,6 +958,16 @@ fn run_bounded_on<B: ResumableBackend, S: KernelSpec>(
 /// surface as [`JobError::Invalid`] — never a panic.
 fn snapshot_error(e: SnapshotError) -> JobError {
     JobError::Invalid(format!("snapshot: {e}"))
+}
+
+/// The message of a caught panic payload.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| payload.downcast_ref::<&str>().copied())
+        .unwrap_or("unknown panic")
+        .into()
 }
 
 /// Output digest of a finished transposition (shared by the batch and
@@ -1439,6 +1456,42 @@ mod tests {
         assert_eq!(outcome.kernel, "spgemm");
         assert!(outcome.cycles > 0);
         assert!(outcome.out_nnz > 0);
+    }
+
+    #[test]
+    fn quanta_match_straight_run_and_stop_at_a_boundary() {
+        let mut spec = tiny_spec();
+        spec.threads = Some(2);
+        let straight = spec.execute().expect("straight");
+        let mut boundaries = Vec::new();
+        let ran = spec
+            .execute_in_quanta(300, |cycle| {
+                boundaries.push(cycle);
+                ControlFlow::Continue(())
+            })
+            .expect("quanta");
+        assert_eq!(ran, ControlFlow::Continue(straight.clone()));
+        assert!(boundaries.len() >= 2, "job too short for several quanta");
+        assert!(boundaries
+            .iter()
+            .enumerate()
+            .all(|(i, &c)| c == 300 * (i as u64 + 1)));
+        let stopped = spec
+            .execute_in_quanta(300, |cycle| {
+                if cycle >= 600 {
+                    ControlFlow::Break(())
+                } else {
+                    ControlFlow::Continue(())
+                }
+            })
+            .expect("stopped run");
+        assert_eq!(stopped, ControlFlow::Break(600));
+        let mut traced = spec.clone();
+        traced.trace_counting = true;
+        assert!(matches!(
+            traced.execute_in_quanta(300, |_| ControlFlow::Continue(())),
+            Err(JobError::Invalid(m)) if m.contains("tracing")
+        ));
     }
 
     #[test]

@@ -126,7 +126,7 @@ pub fn run_on<B: AcceleratorBackend>(
 }
 
 /// Builds the engine spec [`run_on`] executes, for callers that need the
-/// [`KernelSpec`] itself (the checkpointing entry points).
+/// [`KernelSpec`] itself (the job run path in [`crate::jobspec`]).
 pub(crate) fn make_spec<'m>(
     a: &'m CsrMatrix,
     x: &'m [f32],
@@ -160,8 +160,8 @@ pub fn run_with_backend(
 /// partition with pair intermediates and a dense final output, assembled
 /// by summing each PU's partial vector into `y`.
 ///
-/// Crate-visible so the preemptible job path ([`crate::jobspec`]) can
-/// drive SpMV through the checkpointing engine entry points.
+/// Crate-visible so the job run path ([`crate::jobspec`]) can drive
+/// SpMV through any engine entry point, checkpointing ones included.
 pub(crate) struct SpmvSpec<'m> {
     a: &'m CsrMatrix,
     x: &'m [f32],

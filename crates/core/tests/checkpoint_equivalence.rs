@@ -336,6 +336,54 @@ fn chained_hops<B: ResumableBackend + Copy>(
     }
 }
 
+/// A zero-progress hop — `resume_to_cycle` onto the cycle the snapshot
+/// already paused at — restores and re-captures the launch without
+/// simulating, so it must hand back the snapshot byte for byte. Covers
+/// both backends, both execution paths and serial/threaded engines.
+#[test]
+fn zero_progress_hop_returns_identical_snapshot() {
+    with_checker(|| {
+        let m = gen::rmat(96, 768, gen::RmatParams::PAPER, 73);
+        for (threads, fast) in [(1, false), (1, true), (2, true)] {
+            let cfg = config(threads, fast);
+            let what = format!("threads={threads} ff={fast}");
+            zero_progress_hops(MendaBackend, &m, &cfg, &format!("menda {what}"));
+            zero_progress_hops(PimBackend, &m, &cfg, &format!("pim {what}"));
+        }
+    });
+}
+
+fn zero_progress_hops<B: ResumableBackend + Copy>(
+    backend: B,
+    m: &CsrMatrix,
+    cfg: &MendaConfig,
+    what: &str,
+) {
+    let engine = Engine::with_backend(cfg, backend);
+    let total = engine
+        .run_to_cycle(&spec(m, cfg), u64::MAX)
+        .expect("straight run")
+        .finished()
+        .expect("unbounded pause target finishes")
+        .cycles;
+    for pause_at in [1, total / 3, total / 2, total.saturating_sub(1)] {
+        let snapshot = engine
+            .run_to_cycle(&spec(m, cfg), pause_at)
+            .expect("pause")
+            .snapshot()
+            .unwrap_or_else(|| panic!("{what}: run finished before cycle {pause_at}"));
+        let again = engine
+            .resume_to_cycle(&spec(m, cfg), &snapshot, pause_at)
+            .expect("zero-progress hop")
+            .snapshot()
+            .unwrap_or_else(|| panic!("{what}: zero-progress hop @ {pause_at} finished"));
+        assert!(
+            again == snapshot,
+            "{what}: zero-progress hop @ {pause_at} changed the snapshot"
+        );
+    }
+}
+
 /// The strongest signal: the *DRAM command log* — every ACT/PRE/RD/WR/REF
 /// with its issue cycle and full coordinates — is identical entry for
 /// entry across a pause/restore round trip. Driven at the unit level

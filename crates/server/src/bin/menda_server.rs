@@ -15,9 +15,10 @@ fn usage() -> String {
         "  --queue N          bounded queue capacity (default 64)\n",
         "  --max-nnz N        per-job simulated-nonzero cap (default 64000000)\n",
         "  --preemption-quantum N\n",
-        "                     slice jobs into N-device-cycle quanta via the\n",
-        "                     checkpoint subsystem (default: run to completion;\n",
-        "                     results are bit-identical either way)\n",
+        "                     run jobs in N-device-cycle quanta and stop a job\n",
+        "                     past its deadline at the next quantum boundary\n",
+        "                     (default: run to completion; results are\n",
+        "                     bit-identical either way)\n",
         "  --threads N        engine worker threads for jobs that leave\n",
         "                     'threads' unset, in [1, 1024] (default: engine\n",
         "                     auto; outcomes are bit-identical at every count)\n",

@@ -13,7 +13,8 @@
 //!        worker pool (N threads) — JobSpec::execute, panics caught
 //!                │ per-connection mpsc
 //!                ▼
-//!        writer thread per connection ──▶ client
+//!        writer thread per connection ──▶ client (one write per line,
+//!                                           TCP_NODELAY)
 //! ```
 //!
 //! Robustness rules:
@@ -25,13 +26,16 @@
 //! * **Backpressure is explicit.** A full queue answers
 //!   `rejected{queue_full}` immediately; clients retry. Nothing blocks
 //!   the reader thread on queue space.
-//! * **Deadlines are enforced at dispatch.** A job whose deadline expired
-//!   while queued is failed without running; a job that finishes past its
-//!   deadline is reported `deadline_exceeded` (simulation is not
-//!   preemptible mid-kernel, so over-deadline completions are discarded
-//!   rather than interrupted).
+//! * **Deadlines are enforced at dispatch, between quanta and at
+//!   completion.** A job whose deadline expired while queued is failed
+//!   without running. With [`ServerConfig::preemption_quantum`] set, the
+//!   worker checks the deadline at every quantum boundary and stops an
+//!   overdue job there, naming the cycle it stopped at. A job that
+//!   finishes past its deadline is reported `deadline_exceeded` and its
+//!   result discarded; without a quantum (or with counting
+//!   instrumentation) that is the only check a running job gets.
 //! * **Cancellation is queue-level.** `cancel` removes a queued job; a
-//!   running job cannot be preempted and the cancel is rejected.
+//!   running job is not cancelled and the cancel is rejected.
 //! * **Disconnects are absorbed.** If the submitting client is gone when
 //!   a result is ready, delivery fails silently into the `undeliverable`
 //!   counter and the worker moves on.
@@ -42,6 +46,7 @@
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::ops::ControlFlow;
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -63,14 +68,14 @@ pub struct ServerConfig {
     pub max_job_nnz: u64,
     /// Largest accepted `deadline_ms`.
     pub max_deadline_ms: u64,
-    /// When set, workers execute jobs preemptibly in quanta of this many
-    /// device cycles through the checkpoint/replay seam
-    /// ([`JobSpec::execute_to_cycle`] / [`JobSpec::resume_to_cycle`])
-    /// instead of one uninterrupted [`JobSpec::execute`]. Outcomes are
-    /// byte-identical either way (the preemption suite asserts it); the
-    /// snapshot boundary is where a future scheduler can park a job.
-    /// Jobs with counting instrumentation fall back to uninterrupted
-    /// execution (checkpointing refuses active tracing).
+    /// When set, workers execute jobs in quanta of this many device
+    /// cycles ([`JobSpec::execute_in_quanta`]) instead of one
+    /// uninterrupted [`JobSpec::execute`]. The simulator state stays live
+    /// in memory between quanta; each boundary is where the worker checks
+    /// the job's deadline and stops it if overdue. Outcomes are
+    /// byte-identical either way (the preemption suite asserts it). Jobs
+    /// with counting instrumentation fall back to uninterrupted execution
+    /// (the quantum loop refuses active tracing).
     pub preemption_quantum: Option<u64>,
     /// Engine worker threads applied at admission to jobs that leave
     /// `threads` unset (`None` keeps the engine's own auto default).
@@ -349,6 +354,9 @@ fn read_line_capped(reader: &mut BufReader<TcpStream>, buf: &mut String) -> Resu
 const CLOSE_SENTINEL: &str = "\0";
 
 fn handle_connection(stream: TcpStream, shared: &Arc<Shared>, addr: SocketAddr) {
+    // Every response line goes out in one write; with Nagle on, a short
+    // line could wait behind the client's delayed ACK.
+    let _ = stream.set_nodelay(true);
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
@@ -362,14 +370,14 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>, addr: SocketAddr) 
         .name("menda-conn-writer".into())
         .spawn(move || {
             let mut out = write_half;
-            for line in rx {
+            for mut line in rx {
                 if line == CLOSE_SENTINEL {
                     return;
                 }
-                if out.write_all(line.as_bytes()).is_err() || out.write_all(b"\n").is_err() {
+                line.push('\n');
+                if out.write_all(line.as_bytes()).is_err() {
                     return;
                 }
-                let _ = out.flush();
             }
         })
         .expect("spawn writer");
@@ -594,14 +602,28 @@ fn worker_loop(shared: &Arc<Shared>) {
             let run_started = Instant::now();
             let result = match shared.config.preemption_quantum {
                 Some(quantum) if !job.spec.trace_counting => {
-                    execute_preemptible(&job.spec, quantum)
+                    job.spec.execute_in_quanta(quantum, |_| {
+                        if job.deadline.is_some_and(|d| job.enqueued_at.elapsed() > d) {
+                            ControlFlow::Break(())
+                        } else {
+                            ControlFlow::Continue(())
+                        }
+                    })
                 }
-                _ => job.spec.execute(),
+                _ => job.spec.execute().map(ControlFlow::Continue),
             };
             let run_wall = run_started.elapsed();
             let total = job.enqueued_at.elapsed();
             match result {
-                Ok(outcome) => {
+                Ok(ControlFlow::Break(cycle)) => Response::Failed {
+                    job_id: job.id,
+                    tag: job.tag.clone(),
+                    error: format!(
+                        "deadline_exceeded: stopped at cycle {cycle} after {} ms",
+                        total.as_millis()
+                    ),
+                },
+                Ok(ControlFlow::Continue(outcome)) => {
                     if job.deadline.is_some_and(|d| total > d) {
                         Response::Failed {
                             job_id: job.id,
@@ -642,46 +664,24 @@ fn worker_loop(shared: &Arc<Shared>) {
     }
 }
 
-/// Convenience for clients and tests: executes `spec` exactly the way a
-/// worker would, returning the failure response a worker would produce
-/// for it. Used to assert batch/wire equivalence.
+/// Executes `spec` in preemption quanta of `quantum` device cycles,
+/// the way a worker does when [`ServerConfig::preemption_quantum`] is set
+/// (minus the deadline check): one live launch, paused at every quantum
+/// boundary and continued from its in-memory state. The returned
+/// [`menda_core::JobOutcome`] (JSON and output digest included) is
+/// byte-identical to an uninterrupted [`JobSpec::execute`] — the
+/// preemption differential suite asserts that.
 ///
 /// # Errors
 ///
 /// Propagates [`JobError`] from validation or execution.
-pub fn execute_like_worker(spec: &JobSpec) -> Result<menda_core::JobOutcome, JobError> {
-    spec.execute()
-}
-
-/// Executes `spec` in preemption quanta of `quantum` device cycles: run
-/// to the first quantum boundary, snapshot, restore, run to the next,
-/// and so on until the job finishes — exactly what a worker does when
-/// [`ServerConfig::preemption_quantum`] is set. Every quantum boundary
-/// round-trips the full simulator state through the checkpoint
-/// container, so the returned [`menda_core::JobOutcome`] (JSON and
-/// output digest included) is byte-identical to an uninterrupted
-/// [`JobSpec::execute`] — the preemption differential suite asserts
-/// that.
-///
-/// # Errors
-///
-/// Propagates [`JobError`] from validation, snapshot handling or
-/// execution.
 pub fn execute_preemptible(
     spec: &JobSpec,
     quantum: u64,
 ) -> Result<menda_core::JobOutcome, JobError> {
-    let quantum = quantum.max(1);
-    let mut pause_at = quantum;
-    let mut progress = spec.execute_to_cycle(pause_at)?;
-    loop {
-        match progress {
-            menda_core::JobProgress::Finished(outcome) => return Ok(outcome),
-            menda_core::JobProgress::Paused(snapshot) => {
-                pause_at += quantum;
-                progress = spec.resume_to_cycle(&snapshot, pause_at)?;
-            }
-        }
+    match spec.execute_in_quanta(quantum, |_| ControlFlow::Continue(()))? {
+        ControlFlow::Continue(outcome) => Ok(outcome),
+        ControlFlow::Break(_) => unreachable!("a run that is never stopped finishes"),
     }
 }
 
