@@ -22,8 +22,9 @@
 //!   transposition at the requested `--scale`, each verified against
 //!   [`menda_sparse::CsrMatrix::to_csc`].
 //!
-//! Writes `results/BENCH_10.json` with per-run cycles/sec and the
-//! fast-forward geomean relative to the reference-path geomean.
+//! Writes `BENCH_10.json` into the output directory with per-run
+//! cycles/sec and the fast-forward geomean relative to the
+//! reference-path geomean.
 
 use std::path::Path;
 

@@ -222,7 +222,7 @@ fn bench_honours_scale_and_writes_artifact() {
 fn bench_honours_threads_and_other_experiments_reject_it() {
     let dir = std::env::temp_dir().join("menda-bench-threads-smoke");
     let _ = std::fs::remove_dir_all(&dir);
-    // threads=2 exercises the pipelined multi-core fast path; the oracle
+    // threads=2 exercises the per-PU fan-out; the oracle
     // tier inside the experiment asserts bit-identity against the
     // reference path at that thread count.
     let r = experiments::run_with("bench", Scale(512), 2, &dir).expect("bench runs threaded");

@@ -227,15 +227,6 @@ pub struct SimOptions {
     /// and `crates/dram/tests/fast_forward.rs` enforce it; `false` keeps
     /// the per-cycle reference path.
     pub fast_forward: bool,
-    /// Coarse-grained epoch batching on the fast-forward path: the PU
-    /// computes a lower bound on how many cycles the merge tree's
-    /// observable inputs cannot change (no read response, no host
-    /// injection, no issue-gate transition) and drains that many cycles
-    /// in one fused loop, flushing DRAM ticks in bulk. On by default;
-    /// has no effect when `fast_forward` is off. Results are
-    /// bit-identical either way — the absolute cycle fingerprints in
-    /// `crates/core/tests/activation_fingerprints.rs` enforce it.
-    pub epoch: bool,
 }
 
 impl Default for SimOptions {
@@ -243,7 +234,6 @@ impl Default for SimOptions {
         Self {
             threads: None,
             fast_forward: true,
-            epoch: true,
         }
     }
 }
@@ -350,15 +340,6 @@ impl MendaConfig {
     /// changes.
     pub fn with_fast_forward(mut self, on: bool) -> Self {
         self.sim.fast_forward = on;
-        self
-    }
-
-    /// With epoch batching on the fast-forward path on (`true`, the
-    /// default) or per-cycle fast-forward stepping (`false`). Simulated
-    /// results are bit-identical for both settings; only host wall-clock
-    /// time changes. No effect when fast-forwarding is off.
-    pub fn with_epoch(mut self, on: bool) -> Self {
-        self.sim.epoch = on;
         self
     }
 
@@ -476,14 +457,5 @@ mod tests {
         let c = MendaConfig::small_test().with_fast_forward(false);
         assert!(!c.sim.fast_forward);
         assert!(c.with_fast_forward(true).sim.fast_forward);
-    }
-
-    #[test]
-    fn epoch_defaults_on_and_toggles() {
-        assert!(SimOptions::default().epoch);
-        assert!(MendaConfig::small_test().sim.epoch);
-        let c = MendaConfig::small_test().with_epoch(false);
-        assert!(!c.sim.epoch);
-        assert!(c.with_epoch(true).sim.epoch);
     }
 }

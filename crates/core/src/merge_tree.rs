@@ -399,16 +399,6 @@ impl MergeTree {
         (self.ctrl[f] >> 16) as usize
     }
 
-    /// Whether no PE is scheduled for the next `tick` — the cheap core
-    /// of [`MergeTree::is_quiescent`], without the root-merge probe.
-    /// The fast-forward epoch drain in `pu.rs` breaks on this after a
-    /// popless cycle: with the work list empty the tree cannot act
-    /// until an external wake, so control returns to the outer loop's
-    /// full quiescence calculus.
-    pub fn no_scheduled_pes(&self) -> bool {
-        self.active.is_empty()
-    }
-
     /// Marks the leaf PE serving `port` as active (call when the backing
     /// prefetch buffer gains data).
     pub fn wake_port(&mut self, port: usize) {

@@ -3,8 +3,6 @@
 //! one DRAM rank simulated cycle-accurately by [`menda_dram`].
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
 
 use menda_dram::{MemRequest, MemorySystem, ReqKind};
 use menda_sparse::CsrMatrix;
@@ -555,56 +553,6 @@ impl LeafSource for BufferPorts<'_> {
     }
 }
 
-/// How the epoch drain reaches the PU's memory system: directly
-/// (serial), or through a mutex shared with a scoped worker thread
-/// that advances the DRAM clock in the background (the pipelined
-/// multi-core mode, `SimOptions::threads > 1`). `MemorySystem::advance`
-/// is tick-exact toward a given absolute target no matter which thread
-/// executes which span, so both modes land on bit-identical memory
-/// state — enforced by the thread-count differential suites and the
-/// DRAM command-log comparison.
-enum EpochMem<'a, 'm> {
-    /// Direct access (serial epoch drain).
-    Serial(&'a mut MemorySystem),
-    /// Shared with a background ticking worker. `target` is the
-    /// absolute bus cycle the worker may advance to — published by the
-    /// main thread once per completed epoch cycle, always the next
-    /// cycle's issue-time clock, so the worker can never overshoot an
-    /// early epoch exit.
-    Overlap {
-        mem: &'a Mutex<&'m mut MemorySystem>,
-        target: &'a AtomicU64,
-    },
-}
-
-impl EpochMem<'_, '_> {
-    /// Applies the deferred DRAM ticks — brings the memory system to
-    /// absolute bus cycle `target` — then runs `f` on it. One lock
-    /// acquisition covers both in overlap mode, so an issue cycle
-    /// cannot interleave with the worker between catch-up and issue.
-    fn sync<R>(&mut self, target: u64, f: impl FnOnce(&mut MemorySystem) -> R) -> R {
-        match self {
-            EpochMem::Serial(mem) => {
-                ProcessingUnit::epoch_advance_to(mem, target);
-                f(mem)
-            }
-            EpochMem::Overlap { mem, .. } => {
-                let mut m = mem.lock().expect("DRAM ticking worker panicked");
-                ProcessingUnit::epoch_advance_to(&mut m, target);
-                f(&mut m)
-            }
-        }
-    }
-
-    /// Publishes the bus-cycle target the background worker may
-    /// advance to (no-op in serial mode).
-    fn publish(&self, target_now: u64) {
-        if let EpochMem::Overlap { target, .. } = self {
-            target.store(target_now, Ordering::Release);
-        }
-    }
-}
-
 /// Instrumentation state of one PU (see the `menda-trace` crate): a
 /// cycle-stamped tracer on track 0 plus occupancy histograms and counters
 /// maintained by purely observational hooks in
@@ -690,17 +638,6 @@ pub struct ProcessingUnit {
     /// when set, `run_rounds` jumps over provably no-op cycle spans.
     /// Results are bit-identical either way.
     fast_forward: bool,
-    /// Coarse-grained epoch batching on the fast path (see
-    /// [`crate::config::SimOptions::epoch`]): when the controller FSM
-    /// and prefetch planner are provably frozen, run a fused loop of
-    /// only the steps that can still act. Results are bit-identical
-    /// either way.
-    epoch: bool,
-    /// Pipelined multi-core mode (`SimOptions::threads > 1`): long
-    /// epochs hand the rank's DRAM ticking to a scoped worker thread
-    /// overlapped with the merge-tree compute. Results are
-    /// bit-identical for every thread count.
-    overlap: bool,
     /// Instrumentation state; `None` when tracing is off. Purely
     /// observational — it never feeds back into the simulation.
     trace: Option<PuTraceState>,
@@ -722,8 +659,6 @@ impl ProcessingUnit {
             dram_tick_accum: 0,
             next_req_id: 0,
             fast_forward: config.sim.fast_forward,
-            epoch: config.sim.epoch,
-            overlap: config.sim.threads.is_some_and(|t| t > 1),
             trace: PuTraceState::new(&config.trace, &config.pu),
             pu_cfg: config.pu.clone(),
             ticks: config.dram_ticks_ratio(),
@@ -1040,154 +975,6 @@ impl ProcessingUnit {
                         continue;
                     }
                 }
-                // Epoch calculus (see DESIGN.md): the PU is *not*
-                // quiescent — the tree has work — but the controller FSM
-                // and every prefetch buffer are provably frozen: no
-                // buffer is scheduled to plan, the pointer-issue gate and
-                // descriptor release are blocked on state only a read
-                // response can change, and the earliest possible read
-                // response is a known bus cycle away. Until then the
-                // per-cycle loop degenerates to steps 2, 5, and 6; run
-                // exactly those in a fused drain for the bounded span,
-                // deferring DRAM ticks into a lazy accumulator. The
-                // fingerprint suites prove the drain bit-identical to
-                // per-cycle stepping (`SimOptions::epoch = false`).
-                if self.epoch
-                    && !rounds_done
-                    && st.buf_active.is_empty()
-                    && p.gate.is_none_or(|g| {
-                        !(st.ptr_outstanding < pu_cfg.pointer_read_depth
-                            && st.ptr_next_issue < g.blocks.len()
-                            && !st.read_q.is_full())
-                    })
-                    && (st.next_release >= padded
-                        || (st.next_release < n_streams
-                            && p.gate.is_some_and(|g| {
-                                g.release_after[st.next_release] > st.ptr_blocks_arrived
-                            })))
-                {
-                    let now0 = self.mem.now();
-                    let mut remaining = match self.mem.earliest_read_response_at(HOST_REQ_BIT) {
-                        Some(r) if r <= now0 => 0,
-                        Some(r) => {
-                            // PU cycle `cycles + j` observes memory time
-                            // `now0 + (accum + (j-1)*num) / den`; keep it
-                            // below the response bound for every epoch
-                            // cycle.
-                            let span = (r - now0) * dram_den;
-                            1 + (span - 1 - self.dram_tick_accum) / dram_num
-                        }
-                        None => u64::MAX,
-                    };
-                    if let Some(target) = pause_at {
-                        remaining = remaining.min(target - st.cycles);
-                    }
-                    if remaining > 0 {
-                        // Step-4 invariant: the previous cycle's walk
-                        // un-parked every buffer the (frozen) queue
-                        // headroom could satisfy, so skipping the walk
-                        // during the epoch is a no-op.
-                        #[cfg(debug_assertions)]
-                        if st.parked_count > 0 {
-                            let avail = pu_cfg.read_queue_entries - st.read_q.len();
-                            for nb in PrefetchBuffer::MIN_FETCH_SLOTS..=avail.min(need_cap) {
-                                for w in 0..pw {
-                                    debug_assert_eq!(
-                                        st.parked_buckets[nb * pw + w],
-                                        0,
-                                        "parked buffer fireable at epoch entry"
-                                    );
-                                }
-                            }
-                        }
-                        const OVERLAP_MIN_CYCLES: u64 = 1024;
-                        let lazy = if self.overlap
-                            && self.trace.is_none()
-                            && remaining >= OVERLAP_MIN_CYCLES
-                        {
-                            // Pipelined multi-core mode: a scoped worker
-                            // ticks the rank's DRAM toward the published
-                            // per-cycle target while this thread runs
-                            // the merge tree. Chunked advances to the
-                            // same monotone targets are tick-exact, so
-                            // the final memory state matches the serial
-                            // drain bit for bit. (Gated on tracing-off:
-                            // idle-span trace events depend on chunk
-                            // boundaries, which are timing-dependent
-                            // here.)
-                            let mem = Mutex::new(&mut self.mem);
-                            let target = AtomicU64::new(now0);
-                            let done = AtomicBool::new(false);
-                            std::thread::scope(|scope| {
-                                scope.spawn(|| {
-                                    while !done.load(Ordering::Acquire) {
-                                        let t = target.load(Ordering::Acquire);
-                                        let mut caught_up = true;
-                                        {
-                                            let mut m = mem.lock().expect("epoch main panicked");
-                                            let mnow = m.now();
-                                            if mnow < t {
-                                                // Short chunks bound the
-                                                // lock hold time so issue
-                                                // cycles never stall long.
-                                                ProcessingUnit::epoch_advance_to(
-                                                    &mut m,
-                                                    t.min(mnow + 256),
-                                                );
-                                                caught_up = false;
-                                            }
-                                        }
-                                        if caught_up {
-                                            std::thread::yield_now();
-                                        }
-                                    }
-                                });
-                                let lazy = Self::epoch_drain(
-                                    &mut self.trace,
-                                    &mut self.next_req_id,
-                                    EpochMem::Overlap {
-                                        mem: &mem,
-                                        target: &target,
-                                    },
-                                    &pu_cfg,
-                                    &layout,
-                                    p,
-                                    st,
-                                    total_rounds,
-                                    elem_bytes,
-                                    count_feed,
-                                    (dram_num, dram_den),
-                                    now0,
-                                    self.dram_tick_accum,
-                                    remaining,
-                                    max_cycles,
-                                );
-                                done.store(true, Ordering::Release);
-                                lazy
-                            })
-                        } else {
-                            Self::epoch_drain(
-                                &mut self.trace,
-                                &mut self.next_req_id,
-                                EpochMem::Serial(&mut self.mem),
-                                &pu_cfg,
-                                &layout,
-                                p,
-                                st,
-                                total_rounds,
-                                elem_bytes,
-                                count_feed,
-                                (dram_num, dram_den),
-                                now0,
-                                self.dram_tick_accum,
-                                remaining,
-                                max_cycles,
-                            )
-                        };
-                        self.dram_tick_accum = lazy % dram_den;
-                        continue;
-                    }
-                }
             }
             st.cycles += 1;
             assert!(st.cycles < max_cycles, "PU deadlock suspected");
@@ -1464,18 +1251,131 @@ impl ProcessingUnit {
             work.clear();
             st.buf_scratch = work;
 
-            // 5. Merge tree (shared verbatim with the epoch drain).
-            Self::tree_cycle(
-                &mut self.trace,
-                self.fast_forward,
-                count_feed,
-                &pu_cfg,
-                &layout,
-                p,
-                st,
-                total_rounds,
-                elem_bytes,
+            // 5. Merge tree.
+            let root_space = usize::from(
+                st.bytes_accum + elem_bytes <= pu_cfg.output_buffer_bytes as u64
+                    && st.pending_ptr_blocks < 16
+                    && st.write_q.len() < pu_cfg.write_queue_entries,
             );
+            if root_space == 0 {
+                st.it.output_stall_cycles += 1;
+            }
+            let mut ports = BufferPorts {
+                buffers: &mut st.buffers,
+                popped: std::mem::take(&mut st.popped_scratch),
+                event_driven: self.fast_forward,
+                count_feed,
+                fed: 0,
+                starved: 0,
+            };
+            let popped = st.tree.tick(&mut ports, root_space);
+            let mut awoken = std::mem::take(&mut ports.popped);
+            let (fed, starved) = (ports.fed, ports.starved);
+            for &port in &awoken {
+                st.buf_active.insert(port as usize);
+            }
+            awoken.clear();
+            st.popped_scratch = awoken;
+            if let Some(ts) = self.trace.as_mut() {
+                ts.prefetch_hits += fed;
+                ts.prefetch_misses += starved;
+                if st.cycles.is_multiple_of(ts.interval) {
+                    let now = ts.cycle_base + st.cycles;
+                    let fill = st.tree.occupancy() as u64;
+                    let held: usize = st.buffers.iter().map(|b| b.held()).sum();
+                    ts.tree_fill.record(fill);
+                    ts.read_q_occ.record(st.read_q.len() as u64);
+                    ts.write_q_occ.record(st.write_q.len() as u64);
+                    ts.prefetch_held.record(held as u64);
+                    ts.tracer.counter(now, "pu.tree_fill", fill);
+                    ts.tracer
+                        .counter(now, "pu.read_queue", st.read_q.len() as u64);
+                    ts.tracer
+                        .counter(now, "pu.write_queue", st.write_q.len() as u64);
+                    ts.tracer.counter(now, "pu.prefetch_held", held as u64);
+                }
+            }
+            match popped {
+                Some(Packet::Nz {
+                    major,
+                    minor,
+                    value,
+                }) => {
+                    st.it.nz_emitted += 1;
+                    let merged = p.reduce && st.last_key_in_run == Some((major, minor));
+                    if merged {
+                        let lv = st.out_val.last_mut().expect("reduce has prior element");
+                        *lv += value;
+                    } else {
+                        // Pointer-write pacing for FinalCsc output.
+                        if let OutputMode::FinalCsc { .. } = p.out {
+                            let group = major as u64 / 8; // 8 ptr entries per block
+                            if group > st.ptr_cursor {
+                                st.pending_ptr_blocks += group - st.ptr_cursor;
+                                st.ptr_cursor = group;
+                            }
+                        }
+                        st.out_major.push(major);
+                        st.out_minor.push(minor);
+                        st.out_val.push(value);
+                        st.bytes_accum += elem_bytes;
+                        st.last_key_in_run = Some((major, minor));
+                        // Issue stores at block granularity per output
+                        // array (16 4-byte elements per block).
+                        let emitted = st.out_major.len() as u64;
+                        if emitted - st.stored_nzs >= 16 {
+                            let off = st.stored_nzs * 4;
+                            for base in &st.out_bases {
+                                st.write_q.push_back(AddressLayout::block_of(base + off));
+                            }
+                            st.stored_nzs += 16;
+                            st.bytes_accum = st.bytes_accum.saturating_sub(16 * elem_bytes);
+                        }
+                    }
+                }
+                Some(Packet::Eol) => {
+                    st.boundaries.push(st.out_major.len());
+                    st.last_key_in_run = None;
+                }
+                None => {
+                    if root_space == 1 && (st.tree.rounds_completed() as usize) < total_rounds {
+                        st.it.root_stall_cycles += 1;
+                    }
+                }
+            }
+            // Drain one pending pointer-block store per cycle.
+            if st.pending_ptr_blocks > 0 && st.write_q.len() < pu_cfg.write_queue_entries {
+                st.write_q.push_back(AddressLayout::block_of(
+                    layout.out_ptr + (st.ptr_cursor - st.pending_ptr_blocks) * BLOCK_BYTES,
+                ));
+                st.pending_ptr_blocks -= 1;
+            }
+            // Final flush when merging finished: one partial-block store
+            // per cycle so even a tiny write queue drains it.
+            if st.tree.rounds_completed() as usize >= total_rounds {
+                if st.bytes_accum > 0 && st.write_q.len() < pu_cfg.write_queue_entries {
+                    let off = st.stored_nzs * 4;
+                    st.write_q.push_back(AddressLayout::block_of(
+                        st.out_bases[st.final_flush_pushed] + off,
+                    ));
+                    st.final_flush_pushed += 1;
+                    if st.final_flush_pushed == st.out_bases.len() {
+                        st.bytes_accum = 0;
+                    }
+                }
+                // Trailing pointer blocks of the output CSC pointer array
+                // (the dense SpMV output is fully covered by the per-16
+                // element stores above).
+                if st.pending_ptr_blocks == 0 {
+                    if let OutputMode::FinalCsc { ncols } = p.out {
+                        let total_groups = (ncols + 1).div_ceil(8);
+                        if st.ptr_cursor < total_groups {
+                            st.pending_ptr_blocks += total_groups - st.ptr_cursor;
+                            st.ptr_cursor = total_groups;
+                        }
+                    }
+                }
+            }
 
             // 6. DRAM clock (bus runs dram_num : dram_den faster).
             // Routed through `advance` rather than raw ticks: it is
@@ -1489,291 +1389,6 @@ impl ProcessingUnit {
                 self.dram_tick_accum %= dram_den;
             }
         }
-    }
-
-    /// Step 5 of one PU cycle: computes the root back-pressure, ticks
-    /// the merge tree against the prefetch-buffer ports, re-activates
-    /// awoken buffers, samples the instrumentation, handles the root
-    /// pop, and runs the pointer-store drain and final flush. Shared
-    /// *verbatim* by the per-cycle loop and the epoch drain so the two
-    /// execution disciplines cannot diverge (their bit-identity is
-    /// enforced by the absolute cycle fingerprints).
-    ///
-    /// Returns the popped packet and whether any leaf pop left its
-    /// buffer ready to plan a fetch — the two signals the epoch drain
-    /// breaks on (an EOL can complete a round and change the final
-    /// flush gates; an awoken buffer needs step 4 next cycle).
-    #[allow(clippy::too_many_arguments)]
-    fn tree_cycle(
-        trace: &mut Option<PuTraceState>,
-        event_driven: bool,
-        count_feed: bool,
-        pu_cfg: &PuConfig,
-        layout: &AddressLayout,
-        p: &IterParams<'_>,
-        st: &mut IterState,
-        total_rounds: usize,
-        elem_bytes: u64,
-    ) -> (Option<Packet>, bool) {
-        let root_space = usize::from(
-            st.bytes_accum + elem_bytes <= pu_cfg.output_buffer_bytes as u64
-                && st.pending_ptr_blocks < 16
-                && st.write_q.len() < pu_cfg.write_queue_entries,
-        );
-        if root_space == 0 {
-            st.it.output_stall_cycles += 1;
-        }
-        let mut ports = BufferPorts {
-            buffers: &mut st.buffers,
-            popped: std::mem::take(&mut st.popped_scratch),
-            event_driven,
-            count_feed,
-            fed: 0,
-            starved: 0,
-        };
-        let popped = st.tree.tick(&mut ports, root_space);
-        let mut awoken = std::mem::take(&mut ports.popped);
-        let (fed, starved) = (ports.fed, ports.starved);
-        let awoken_any = !awoken.is_empty();
-        for &port in &awoken {
-            st.buf_active.insert(port as usize);
-        }
-        awoken.clear();
-        st.popped_scratch = awoken;
-        if let Some(ts) = trace.as_mut() {
-            ts.prefetch_hits += fed;
-            ts.prefetch_misses += starved;
-            if st.cycles.is_multiple_of(ts.interval) {
-                let now = ts.cycle_base + st.cycles;
-                let fill = st.tree.occupancy() as u64;
-                let held: usize = st.buffers.iter().map(|b| b.held()).sum();
-                ts.tree_fill.record(fill);
-                ts.read_q_occ.record(st.read_q.len() as u64);
-                ts.write_q_occ.record(st.write_q.len() as u64);
-                ts.prefetch_held.record(held as u64);
-                ts.tracer.counter(now, "pu.tree_fill", fill);
-                ts.tracer
-                    .counter(now, "pu.read_queue", st.read_q.len() as u64);
-                ts.tracer
-                    .counter(now, "pu.write_queue", st.write_q.len() as u64);
-                ts.tracer.counter(now, "pu.prefetch_held", held as u64);
-            }
-        }
-        match popped {
-            Some(Packet::Nz {
-                major,
-                minor,
-                value,
-            }) => {
-                st.it.nz_emitted += 1;
-                let merged = p.reduce && st.last_key_in_run == Some((major, minor));
-                if merged {
-                    let lv = st.out_val.last_mut().expect("reduce has prior element");
-                    *lv += value;
-                } else {
-                    // Pointer-write pacing for FinalCsc output.
-                    if let OutputMode::FinalCsc { .. } = p.out {
-                        let group = major as u64 / 8; // 8 ptr entries per block
-                        if group > st.ptr_cursor {
-                            st.pending_ptr_blocks += group - st.ptr_cursor;
-                            st.ptr_cursor = group;
-                        }
-                    }
-                    st.out_major.push(major);
-                    st.out_minor.push(minor);
-                    st.out_val.push(value);
-                    st.bytes_accum += elem_bytes;
-                    st.last_key_in_run = Some((major, minor));
-                    // Issue stores at block granularity per output
-                    // array (16 4-byte elements per block).
-                    let emitted = st.out_major.len() as u64;
-                    if emitted - st.stored_nzs >= 16 {
-                        let off = st.stored_nzs * 4;
-                        for base in &st.out_bases {
-                            st.write_q.push_back(AddressLayout::block_of(base + off));
-                        }
-                        st.stored_nzs += 16;
-                        st.bytes_accum = st.bytes_accum.saturating_sub(16 * elem_bytes);
-                    }
-                }
-            }
-            Some(Packet::Eol) => {
-                st.boundaries.push(st.out_major.len());
-                st.last_key_in_run = None;
-            }
-            None => {
-                if root_space == 1 && (st.tree.rounds_completed() as usize) < total_rounds {
-                    st.it.root_stall_cycles += 1;
-                }
-            }
-        }
-        // Drain one pending pointer-block store per cycle.
-        if st.pending_ptr_blocks > 0 && st.write_q.len() < pu_cfg.write_queue_entries {
-            st.write_q.push_back(AddressLayout::block_of(
-                layout.out_ptr + (st.ptr_cursor - st.pending_ptr_blocks) * BLOCK_BYTES,
-            ));
-            st.pending_ptr_blocks -= 1;
-        }
-        // Final flush when merging finished: one partial-block store
-        // per cycle so even a tiny write queue drains it.
-        if st.tree.rounds_completed() as usize >= total_rounds {
-            if st.bytes_accum > 0 && st.write_q.len() < pu_cfg.write_queue_entries {
-                let off = st.stored_nzs * 4;
-                st.write_q.push_back(AddressLayout::block_of(
-                    st.out_bases[st.final_flush_pushed] + off,
-                ));
-                st.final_flush_pushed += 1;
-                if st.final_flush_pushed == st.out_bases.len() {
-                    st.bytes_accum = 0;
-                }
-            }
-            // Trailing pointer blocks of the output CSC pointer array
-            // (the dense SpMV output is fully covered by the per-16
-            // element stores above).
-            if st.pending_ptr_blocks == 0 {
-                if let OutputMode::FinalCsc { ncols } = p.out {
-                    let total_groups = (ncols + 1).div_ceil(8);
-                    if st.ptr_cursor < total_groups {
-                        st.pending_ptr_blocks += total_groups - st.ptr_cursor;
-                        st.ptr_cursor = total_groups;
-                    }
-                }
-            }
-        }
-        (popped, awoken_any)
-    }
-
-    /// Brings the memory system to absolute bus cycle `target`,
-    /// applying ticks the epoch drain deferred. Matured responses the
-    /// PU discards unseen (write acknowledgments, concurrent-host
-    /// traffic) are popped at event boundaries so [`MemorySystem::advance`]
-    /// keeps jumping event-free spans instead of degrading to per-tick
-    /// stepping once an unconsumed response pins the event horizon at
-    /// `now + 1`. Read data responses are never touched: the epoch
-    /// bound proves none matures before the drain exits, and any that
-    /// matures exactly at the exit boundary stays queued for the
-    /// delivery step.
-    fn epoch_advance_to(mem: &mut MemorySystem, target: u64) {
-        loop {
-            while mem.pop_discardable_response(HOST_REQ_BIT).is_some() {}
-            let now = mem.now();
-            if now >= target {
-                break;
-            }
-            let bound = mem.next_event_cycle().map_or(target, |ev| ev.min(target));
-            mem.advance(bound - now);
-        }
-    }
-
-    /// The fused epoch loop (see DESIGN.md, "Epoch calculus"). Entered
-    /// by [`ProcessingUnit::iter_loop`] once the controller FSM and
-    /// every prefetch buffer are provably frozen and no read data can
-    /// return for `remaining` cycles; per cycle it runs only the issue
-    /// slots, the merge tree, and the output drains, deferring DRAM
-    /// ticks into `lazy` and flushing them in bulk on cycles that
-    /// touch the memory system. Every observable interaction happens
-    /// at the same cycle and the same memory time as the per-cycle
-    /// path. Returns the final deferred-tick total; the caller folds
-    /// it back into `dram_tick_accum`.
-    #[allow(clippy::too_many_arguments)]
-    fn epoch_drain(
-        trace: &mut Option<PuTraceState>,
-        next_req_id: &mut u64,
-        mut emem: EpochMem<'_, '_>,
-        pu_cfg: &PuConfig,
-        layout: &AddressLayout,
-        p: &IterParams<'_>,
-        st: &mut IterState,
-        total_rounds: usize,
-        elem_bytes: u64,
-        count_feed: bool,
-        (dram_num, dram_den): (u64, u64),
-        mem_base: u64,
-        lazy0: u64,
-        mut remaining: u64,
-        max_cycles: u64,
-    ) -> u64 {
-        let mut lazy = lazy0;
-        loop {
-            st.cycles += 1;
-            assert!(st.cycles < max_cycles, "PU deadlock suspected");
-            // Step 2 replica (+ the step-1 discard drain, folded into
-            // the tick flush): runs only on cycles with issue work, so
-            // quiet stretches batch their DRAM ticks into one advance.
-            let host_due = pu_cfg.host_read_interval.is_some_and(|iv| {
-                st.cycles.is_multiple_of(iv) && (st.tree.rounds_completed() as usize) < total_rounds
-            });
-            let mut cap_after = u64::MAX;
-            if host_due || st.read_q.next_to_issue().is_some() || !st.write_q.is_empty() {
-                let target = mem_base + lazy / dram_den;
-                cap_after = emem.sync(target, |mem| {
-                    let mut cap = u64::MAX;
-                    if let Some(block) = st.read_q.next_to_issue() {
-                        let req = MemRequest::read(block, *next_req_id);
-                        if mem.can_accept(&req) && mem.try_enqueue(req) {
-                            *next_req_id += 1;
-                            st.read_q.mark_issued(block);
-                            st.it.loads_issued += 1;
-                            // The fresh read shrinks the horizon: a
-                            // store-to-load forwarded response can
-                            // mature on the very next bus cycle.
-                            let r = mem
-                                .earliest_read_response_at(HOST_REQ_BIT)
-                                .expect("a read was just enqueued");
-                            debug_assert!(r > mem.now(), "epoch bound violated");
-                            let span = (r - mem.now()) * dram_den;
-                            cap = (span - 1 - lazy % dram_den) / dram_num;
-                        }
-                    }
-                    if host_due {
-                        let interval = pu_cfg.host_read_interval.expect("host_due");
-                        let addr = 0xC000_0000u64
-                            + (st.cycles / interval).wrapping_mul(0x9E37) % (64 << 20);
-                        let req = MemRequest::read(addr & !63, HOST_REQ_BIT | st.cycles);
-                        if mem.can_accept(&req) {
-                            let _ = mem.try_enqueue(req);
-                        }
-                    }
-                    if let Some(&block) = st.write_q.front() {
-                        let req = MemRequest::write(block, *next_req_id);
-                        if mem.can_accept(&req) && mem.try_enqueue(req) {
-                            *next_req_id += 1;
-                            st.write_q.pop_front();
-                            st.it.stores_issued += 1;
-                        }
-                    }
-                    cap
-                });
-            }
-            // Step 5 replica; steps 1, 3, and 4 are provably frozen.
-            let (popped, awoken_any) = Self::tree_cycle(
-                trace,
-                true,
-                count_feed,
-                pu_cfg,
-                layout,
-                p,
-                st,
-                total_rounds,
-                elem_bytes,
-            );
-            // Step 6, deferred; the published target lets the overlap
-            // worker tick the rank up to the next cycle's issue time.
-            lazy += dram_num;
-            emem.publish(mem_base + lazy / dram_den);
-            remaining = (remaining - 1).min(cap_after);
-            if remaining == 0
-                || awoken_any
-                || matches!(popped, Some(Packet::Eol))
-                || (popped.is_none() && st.tree.no_scheduled_pes())
-            {
-                break;
-            }
-        }
-        // Re-establish the per-cycle invariant (memory time current,
-        // accumulator sub-cycle) before rejoining the outer loop.
-        emem.sync(mem_base + lazy / dram_den, |_| ());
-        lazy
     }
 
     /// Finalizes one iteration driven through [`ProcessingUnit::iter_loop`]:

@@ -20,12 +20,11 @@
 //! it in release). The scale-64/32 tiers pin the same seeds at reduced
 //! size and run on every `cargo test`.
 //!
-//! ISSUE 10 extends the ladder: scale-8 fingerprints for both
-//! accelerator backends (MeNDA merge-tree PU and the SparseP-style PIM
-//! model), PIM fingerprints at the everyday tiers, and an invariance
-//! test proving every pinned count holds across epoch batching on/off
-//! and host thread counts 1/2/4 — the coarse-grained epoch calculus and
-//! the pipelined multi-core mode are wall-clock modes only.
+//! The ladder also holds scale-8 fingerprints for both accelerator
+//! backends (MeNDA merge-tree PU and the SparseP-style PIM model), PIM
+//! fingerprints at the everyday tiers, and an invariance test proving
+//! every pinned count holds at host thread counts 1/2/4 — the per-PU
+//! fan-out is a wall-clock mode only.
 
 use menda_core::{spmv, BackendKind, MendaConfig, MendaSystem};
 use menda_sparse::gen;
@@ -182,13 +181,12 @@ fn pim_scale32_fingerprints_hold() {
     check_pim("P1", 32, p1, 62080, 49211, true);
 }
 
-/// Epoch batching and pipelined multi-core ticking are pure wall-clock
-/// modes: every pinned fingerprint must hold at every (threads, epoch)
-/// combination, on the fast-forward path where both knobs live. A moved
-/// count here means the epoch credit bound or the worker pipeline
-/// changed *observable* simulation state, not just its schedule.
+/// The per-PU fan-out is a pure wall-clock mode: every pinned
+/// fingerprint must hold at every thread count, on the fast-forward
+/// path. A moved count here means threading changed *observable*
+/// simulation state, not just its schedule.
 #[test]
-fn fingerprints_invariant_across_epoch_and_threads() {
+fn fingerprints_invariant_across_threads() {
     let (n1, p1) = seeds();
     for (name, seed, want_t, want_s) in [("N1", n1, 10141u64, 12149u64), ("P1", p1, 26824, 14071)] {
         let m = gen::table3_spec(name)
@@ -196,21 +194,18 @@ fn fingerprints_invariant_across_epoch_and_threads() {
             .generate_scaled(64, seed);
         let x = x_vector(&m, seed);
         for threads in [1usize, 2, 4] {
-            for epoch in [true, false] {
-                let what = format!("{name}/64 threads={threads} epoch={epoch}");
-                let c = MendaConfig::paper()
-                    .with_threads(threads)
-                    .with_fast_forward(true)
-                    .with_epoch(epoch);
-                let r = MendaSystem::new(c.clone()).transpose(&m);
-                assert_eq!(r.output, m.to_csc(), "{what}: transpose output wrong");
-                assert_eq!(r.cycles, want_t, "{what}: transpose fingerprint moved");
-                assert_eq!(
-                    spmv::run(&c, &m, &x).cycles,
-                    want_s,
-                    "{what}: SpMV fingerprint moved"
-                );
-            }
+            let what = format!("{name}/64 threads={threads}");
+            let c = MendaConfig::paper()
+                .with_threads(threads)
+                .with_fast_forward(true);
+            let r = MendaSystem::new(c.clone()).transpose(&m);
+            assert_eq!(r.output, m.to_csc(), "{what}: transpose output wrong");
+            assert_eq!(r.cycles, want_t, "{what}: transpose fingerprint moved");
+            assert_eq!(
+                spmv::run(&c, &m, &x).cycles,
+                want_s,
+                "{what}: SpMV fingerprint moved"
+            );
         }
     }
 }

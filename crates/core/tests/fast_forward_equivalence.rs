@@ -162,29 +162,24 @@ fn fast_forward_scale8_paper_config_is_bit_identical() {
     });
 }
 
-/// The threads × epoch differential matrix (ISSUE 10): every
-/// combination of host worker threads (serial and pipelined multi-core),
-/// epoch batching (coarse-grained drains vs per-cycle fast-forward
-/// stepping) and execution path (fast-forward vs per-cycle reference)
-/// must reproduce one golden serial reference run bit for bit — output,
-/// cycles, per-PU stats (which embed the DRAM counters), simulated
-/// seconds and the full trace report. `epoch` only has machinery on the
-/// fast path; running it against the reference path too proves it is
-/// inert there rather than assuming so.
+/// The threads × path differential matrix: every combination of host
+/// worker threads (serial and per-PU fan-out) and execution path
+/// (fast-forward vs per-cycle reference) must reproduce one golden
+/// serial reference run bit for bit — output, cycles, per-PU stats
+/// (which embed the DRAM counters), simulated seconds and the full
+/// trace report.
 #[test]
-fn threads_epoch_matrix_is_bit_identical() {
+fn threads_path_matrix_is_bit_identical() {
     with_checker(|| {
         for (name, m) in matrices() {
             let golden = MendaSystem::new(config(2, 1, RowPolicy::OpenPage, false)).transpose(&m);
             assert_eq!(golden.output, m.to_csc(), "{name}: wrong transpose");
             for threads in [1usize, 2, 4] {
-                for epoch in [true, false] {
-                    for fast in [true, false] {
-                        let what = format!("{name} threads={threads} epoch={epoch} fast={fast}");
-                        let cfg = config(2, threads, RowPolicy::OpenPage, fast).with_epoch(epoch);
-                        let r = MendaSystem::new(cfg).transpose(&m);
-                        assert_identical(&golden, &r, &what);
-                    }
+                for fast in [true, false] {
+                    let what = format!("{name} threads={threads} fast={fast}");
+                    let cfg = config(2, threads, RowPolicy::OpenPage, fast);
+                    let r = MendaSystem::new(cfg).transpose(&m);
+                    assert_identical(&golden, &r, &what);
                 }
             }
         }
@@ -192,23 +187,21 @@ fn threads_epoch_matrix_is_bit_identical() {
 }
 
 /// The DRAM command log — every ACT/PRE/RD/WR/REF with its issue cycle
-/// and full coordinates — is identical entry for entry across the
-/// per-cycle reference, per-cycle fast-forward (`epoch` off) and
-/// epoch-batched fast-forward paths, on both accelerator backends.
-/// Driven at the unit level through the public backend seam (the engine
-/// does not expose per-rank logs), so this pins the *order and timing*
-/// of every command the scheduler emitted, not just the counters the
-/// engine-level differentials compare.
+/// and full coordinates — is identical entry for entry between the
+/// per-cycle reference and the fast-forward path, on both accelerator
+/// backends. Driven at the unit level through the public backend seam
+/// (the engine does not expose per-rank logs), so this pins the *order
+/// and timing* of every command the scheduler emitted, not just the
+/// counters the engine-level differentials compare.
 #[test]
-fn dram_command_logs_identical_across_epoch_and_fast_forward() {
+fn dram_command_logs_identical_across_paths() {
     with_checker(|| {
         let m = gen::rmat(80, 640, gen::RmatParams::PAPER, 61);
-        let build_cfg = |fast: bool, epoch: bool| {
+        let build_cfg = |fast: bool| {
             let mut cfg = MendaConfig::small_test()
                 .with_channels(1)
                 .with_ranks_per_channel(1)
-                .with_fast_forward(fast)
-                .with_epoch(epoch);
+                .with_fast_forward(fast);
             cfg.dram.log_commands = true;
             cfg.dram.refresh_enabled = true;
             cfg
@@ -226,14 +219,11 @@ fn dram_command_logs_identical_across_epoch_and_fast_forward() {
                     let log = unit.dram_command_log().to_vec();
                     (result, log)
                 };
-                let (golden_result, golden_log) = run_logged(&build_cfg(false, true));
+                let (golden_result, golden_log) = run_logged(&build_cfg(false));
                 assert!(!golden_log.is_empty(), "{}: empty command log", $label);
-                for (fast, epoch) in [(false, false), (true, true), (true, false)] {
-                    let what = format!("{} fast={fast} epoch={epoch}", $label);
-                    let (result, log) = run_logged(&build_cfg(fast, epoch));
-                    assert_eq!(result, golden_result, "{what}: job result diverged");
-                    assert_eq!(log, golden_log, "{what}: DRAM command log diverged");
-                }
+                let (result, log) = run_logged(&build_cfg(true));
+                assert_eq!(result, golden_result, "{}: job result diverged", $label);
+                assert_eq!(log, golden_log, "{}: DRAM command log diverged", $label);
             }};
         }
         check_backend!(MendaBackend, "menda");

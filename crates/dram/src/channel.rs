@@ -449,68 +449,6 @@ impl ChannelController {
         self.responses.peek().map(|&Reverse((done_at, _))| done_at)
     }
 
-    /// Conservative lower bound on the earliest bus cycle at which a
-    /// *read* response whose id has no bit of `exclude_id_mask` set
-    /// could become poppable — the horizon the PU's epoch calculus
-    /// batches merge-tree cycles under (write responses are filtered
-    /// out by the PU with no side effects, so only read data matters).
-    ///
-    /// Two sources feed the bound:
-    /// * matching responses already in flight (exact `done_at`s), and
-    /// * matching reads still sitting in the read queue, whose CAS
-    ///   cannot issue before the next tick and whose data then needs a
-    ///   full `tCL + tBL`, giving `now + tCL + tBL` as a floor.
-    ///
-    /// Store-to-load forwarded reads are not a hole in the bound: their
-    /// response is pushed at *enqueue* time with `done_at = now + 1`,
-    /// so a caller that re-queries after each enqueue always sees them.
-    /// `None` means no matching read is anywhere in the pipeline, so no
-    /// such response can appear before the caller enqueues one.
-    pub fn earliest_read_response_at(&self, exclude_id_mask: u64) -> Option<u64> {
-        let mut ev = u64::MAX;
-        for &Reverse((done_at, seq)) in &self.responses {
-            if done_at >= ev {
-                continue;
-            }
-            if let Some(r) = &self.response_data[seq as usize] {
-                if r.kind == ReqKind::Read && r.id & exclude_id_mask == 0 {
-                    ev = done_at;
-                }
-            }
-        }
-        if self.read_q.iter().any(|q| q.req.id & exclude_id_mask == 0) {
-            let t = &self.config.timing;
-            ev = ev.min(self.now + t.t_cl + t.t_bl);
-        }
-        (ev != u64::MAX).then_some(ev)
-    }
-
-    /// Pops the earliest matured response only when it is one the owner
-    /// discards unseen: a write acknowledgment, or traffic whose id
-    /// matches `discard_id_mask` (the PU's concurrent-host marker).
-    /// Read data responses stay queued — the fast-forward epoch drain
-    /// calls this to keep the event horizon moving without consuming
-    /// data the per-cycle delivery step must observe in order.
-    pub fn pop_discardable_response(&mut self, discard_id_mask: u64) -> Option<MemResponse> {
-        let &Reverse((done_at, seq)) = self.responses.peek()?;
-        if done_at > self.now {
-            return None;
-        }
-        let keep = self.response_data[seq as usize]
-            .as_ref()
-            .is_some_and(|r| r.kind == ReqKind::Read && r.id & discard_id_mask == 0);
-        if keep {
-            return None;
-        }
-        self.responses.pop();
-        let resp = self.response_data[seq as usize].take();
-        if self.responses.is_empty() && self.response_data.len() > 1024 {
-            self.response_data.clear();
-            self.response_seq = 0;
-        }
-        resp
-    }
-
     /// The earliest bus cycle strictly after `now` at which this channel's
     /// observable state can change.
     ///

@@ -200,13 +200,6 @@ pub struct DramConfig {
     /// Instrumentation settings (see [`menda_trace::TraceConfig`]). Off by
     /// default; defaults to the `MENDA_TRACE` environment variable.
     pub trace: TraceConfig,
-    /// Advance the channels of a multi-channel system on one scoped
-    /// thread each during [`crate::MemorySystem::advance`] spans. The
-    /// channels share no state, so the result is bit-identical to serial
-    /// ticking; this only changes wall-clock time. Off by default (the
-    /// per-channel threads only pay off when spans are long and cores
-    /// are free — the engine already parallelizes across PUs).
-    pub parallel_channels: bool,
 }
 
 impl DramConfig {
@@ -226,7 +219,6 @@ impl DramConfig {
             check_protocol: check_protocol_default(),
             row_policy: RowPolicy::OpenPage,
             trace: TraceConfig::from_env(),
-            parallel_channels: false,
         }
     }
 
@@ -300,13 +292,6 @@ impl DramConfig {
     /// Same configuration with a given rank count per channel.
     pub fn with_ranks(mut self, ranks: usize) -> Self {
         self.org.ranks = ranks;
-        self
-    }
-
-    /// Same configuration with channel-parallel `advance` spans enabled
-    /// (see [`DramConfig::parallel_channels`]).
-    pub fn with_parallel_channels(mut self, parallel: bool) -> Self {
-        self.parallel_channels = parallel;
         self
     }
 

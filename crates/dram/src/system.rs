@@ -105,35 +105,6 @@ impl MemorySystem {
             .min()
     }
 
-    /// Conservative lower bound, over all channels, on the earliest bus
-    /// cycle at which a *read* response whose id has no bit of
-    /// `exclude_id_mask` set could become poppable (see
-    /// [`ChannelController::earliest_read_response_at`]). `None` means
-    /// no such read is anywhere in the pipeline.
-    pub fn earliest_read_response_at(&self, exclude_id_mask: u64) -> Option<u64> {
-        self.channels
-            .iter()
-            .filter_map(|c| c.earliest_read_response_at(exclude_id_mask))
-            .min()
-    }
-
-    /// Pops one matured response the owner discards unseen (a write
-    /// acknowledgment or traffic matching `discard_id_mask`), leaving
-    /// read data responses queued — see
-    /// [`ChannelController::pop_discardable_response`]. Round-robin
-    /// over channels like [`MemorySystem::pop_response`].
-    pub fn pop_discardable_response(&mut self, discard_id_mask: u64) -> Option<MemResponse> {
-        let n = self.channels.len();
-        for i in 0..n {
-            let idx = (self.rr_next + i) % n;
-            if let Some(resp) = self.channels[idx].pop_discardable_response(discard_id_mask) {
-                self.rr_next = (idx + 1) % n;
-                return Some(resp);
-            }
-        }
-        None
-    }
-
     /// Advances `ticks` bus cycles, jumping over provably event-free
     /// spans instead of simulating them cycle by cycle. Tick-exact: the
     /// resulting state (commands issued and their cycles, stats, trace
@@ -144,29 +115,14 @@ impl MemorySystem {
     /// Channels share no state, so each advances independently with its
     /// *own* event bound (tighter than the old lock-step global minimum:
     /// one channel's event no longer forces the others through a real
-    /// tick). With [`DramConfig::parallel_channels`] set and more than
-    /// one channel, each channel runs the span on its own scoped thread.
+    /// tick). The skip bound is cached channel-side (see
+    /// [`ChannelController::advance_to`]), so the short spans the PU model
+    /// requests cycle by cycle don't each pay a bound re-derivation.
     pub fn advance(&mut self, ticks: u64) {
         let end = self.now() + ticks;
-        if self.config.parallel_channels && self.channels.len() > 1 {
-            std::thread::scope(|scope| {
-                for ch in &mut self.channels {
-                    scope.spawn(move || Self::advance_channel(ch, end));
-                }
-            });
-        } else {
-            for ch in &mut self.channels {
-                Self::advance_channel(ch, end);
-            }
+        for ch in &mut self.channels {
+            ch.advance_to(end);
         }
-    }
-
-    /// Advances one channel to bus cycle `end`, fast-forwarding across
-    /// its event-free spans (see [`ChannelController::advance_to`] — the
-    /// skip bound is cached channel-side, so the short spans the PU model
-    /// requests cycle-by-cycle don't each pay a bound re-derivation).
-    fn advance_channel(ch: &mut ChannelController, end: u64) {
-        ch.advance_to(end);
     }
 
     /// Pops one completed response, round-robin across channels.
@@ -385,20 +341,18 @@ mod tests {
         assert!(bw <= mem.config().peak_bandwidth_gbs() + 1e-9);
     }
 
-    /// Phased random traffic driven three ways — per-cycle `tick`,
-    /// serial `advance`, and channel-parallel `advance` — must produce
+    /// Phased random traffic on four channels driven two ways —
+    /// per-cycle `tick` and event-skipping `advance` — must produce
     /// identical responses, stats and per-channel command logs.
     #[test]
-    fn parallel_channel_advance_matches_serial_ticking() {
-        let mk = |parallel: bool| {
+    fn multi_channel_advance_matches_per_tick_stepping() {
+        let mk = || {
             let mut c = DramConfig::ddr4_2400r().with_channels(4);
             c.log_commands = true;
-            c.parallel_channels = parallel;
             MemorySystem::new(c)
         };
-        let mut ticked = mk(false);
-        let mut serial = mk(false);
-        let mut parallel = mk(true);
+        let mut ticked = mk();
+        let mut advanced = mk();
         let mut id = 0u64;
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         let mut rng = move || {
@@ -416,29 +370,22 @@ mod tests {
                     MemRequest::read(addr, id)
                 };
                 id += 1;
-                let a = ticked.try_enqueue(req);
-                let b = serial.try_enqueue(req);
-                let c = parallel.try_enqueue(req);
-                assert_eq!(a, b);
-                assert_eq!(a, c);
+                assert_eq!(ticked.try_enqueue(req), advanced.try_enqueue(req));
             }
             let span = 50 + (phase % 7) * 37;
             for _ in 0..span {
                 ticked.tick();
             }
-            serial.advance(span);
-            parallel.advance(span);
-            let r1 = ticked.drain_responses();
-            let r2 = serial.drain_responses();
-            let r3 = parallel.drain_responses();
-            assert_eq!(r1, r2, "serial advance diverged in phase {phase}");
-            assert_eq!(r1, r3, "parallel advance diverged in phase {phase}");
+            advanced.advance(span);
+            assert_eq!(
+                ticked.drain_responses(),
+                advanced.drain_responses(),
+                "advance diverged in phase {phase}"
+            );
         }
-        assert_eq!(ticked.stats(), serial.stats());
-        assert_eq!(ticked.stats(), parallel.stats());
+        assert_eq!(ticked.stats(), advanced.stats());
         for ch in 0..4 {
-            assert_eq!(ticked.command_log(ch), serial.command_log(ch));
-            assert_eq!(ticked.command_log(ch), parallel.command_log(ch));
+            assert_eq!(ticked.command_log(ch), advanced.command_log(ch));
         }
     }
 

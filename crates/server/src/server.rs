@@ -80,7 +80,7 @@ pub struct ServerConfig {
     /// Engine worker threads applied at admission to jobs that leave
     /// `threads` unset (`None` keeps the engine's own auto default).
     /// Simulated outcomes are bit-identical at every thread count —
-    /// the pipelined multi-core mode only changes the wall clock — so
+    /// the per-PU fan-out only changes the wall clock — so
     /// this is purely a throughput knob.
     pub default_threads: Option<usize>,
 }

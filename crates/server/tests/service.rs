@@ -12,7 +12,7 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use menda_core::{Digest, JobKernel, JobSpec, MatrixSource};
-use menda_server::{ServerConfig, ServerHandle};
+use menda_server::{ServerConfig, ServerHandle, MAX_LINE_BYTES};
 use menda_trace::json::{self, JsonValue};
 
 /// A test client: line-in/line-out over one connection. `recv` keeps the
@@ -185,13 +185,17 @@ fn malformed_lines_get_structured_errors_and_daemon_survives() {
         "{\"op\":\"submit\",\"job\":{\"matrix\":{\"source\":\"uniform\",\"dim\":64,\"nnz\":512},\"bogus_field\":1}}",
         "{\"op\":\"cancel\"}",
     ];
-    for line in bad_lines {
+    // Nesting just under the line cap: the parser's depth limit must
+    // answer it before the connection thread's stack overflows.
+    let deep = "[".repeat(MAX_LINE_BYTES - 1);
+    for line in bad_lines.into_iter().chain([deep.as_str()]) {
         client.send(line);
         let response = client.recv();
+        let shown = &line[..line.len().min(120)];
         assert_eq!(
             type_of(&response),
             "error",
-            "line {line:?} must answer a structured error, got {response:?}"
+            "line {shown:?} must answer a structured error, got {response:?}"
         );
         assert!(!str_field(&response, "message").is_empty());
     }

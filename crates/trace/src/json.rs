@@ -60,16 +60,23 @@ impl JsonValue {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so without a cap a short line of `[`s overflows the
+/// parsing thread's stack and aborts the whole process.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a complete JSON document.
 ///
 /// # Errors
 ///
 /// Returns `(byte offset, message)` of the first syntax error, including
-/// trailing garbage after the top-level value.
+/// trailing garbage after the top-level value and nesting deeper than
+/// [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<JsonValue, (usize, String)> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -100,6 +107,8 @@ pub fn escape(s: &str) -> String {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -141,8 +150,19 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<JsonValue, (usize, String)> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => {
+                self.err(&format!("nesting deeper than {MAX_DEPTH} levels"))
+            }
+            Some(open @ (b'{' | b'[')) => {
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -325,6 +345,28 @@ mod tests {
     fn empty_containers() {
         assert_eq!(parse("[]").unwrap(), JsonValue::Arr(Vec::new()));
         assert_eq!(parse("{}").unwrap(), JsonValue::Obj(BTreeMap::new()));
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let (pos, msg) = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(pos, MAX_DEPTH);
+        assert!(msg.contains("nesting"), "{msg}");
+        let objects = format!(
+            "{}1{}",
+            r#"{"a":"#.repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(parse(&objects).is_err());
+        // A megabyte of `[` on a default-stack thread: rejected, not a
+        // stack overflow.
+        let deep = "[".repeat(1 << 20);
+        let rejected = std::thread::spawn(move || parse(&deep).is_err())
+            .join()
+            .expect("parser thread survived");
+        assert!(rejected);
     }
 
     #[test]
