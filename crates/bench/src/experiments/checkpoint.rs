@@ -11,7 +11,7 @@
 
 use std::path::Path;
 
-use menda_core::{BackendKind, MendaConfig, MendaSystem, PimBackend, TransposeResult};
+use menda_core::{BackendKind, MendaConfig, MendaSystem, TransposeResult};
 use menda_sparse::gen;
 
 use crate::util::{self, Scale, Table};
@@ -32,13 +32,10 @@ fn pause_snapshot(
     m: &menda_sparse::CsrMatrix,
     pause_at: u64,
 ) -> Option<Vec<u8>> {
-    let mut system = MendaSystem::new(cfg.clone());
-    match backend {
-        BackendKind::Menda => system.transpose_to_cycle(m, pause_at),
-        BackendKind::Pim => system.transpose_to_cycle_on(m, PimBackend, pause_at),
-    }
-    .expect("tracing disabled, pause cannot be refused")
-    .snapshot()
+    MendaSystem::new(cfg.clone())
+        .transpose_to_cycle(m, backend, None, Some(pause_at))
+        .expect("tracing disabled, pause cannot be refused")
+        .snapshot()
 }
 
 fn resume(
@@ -47,11 +44,9 @@ fn resume(
     m: &menda_sparse::CsrMatrix,
     snapshot: &[u8],
 ) -> Result<TransposeResult, menda_core::SnapshotError> {
-    let mut system = MendaSystem::new(cfg.clone());
-    match backend {
-        BackendKind::Menda => system.resume_transpose(m, snapshot),
-        BackendKind::Pim => system.resume_transpose_on(m, PimBackend, snapshot),
-    }
+    MendaSystem::new(cfg.clone())
+        .transpose_to_cycle(m, backend, Some(snapshot), None)
+        .map(|outcome| outcome.finished().expect("no pause target"))
 }
 
 /// Runs the checkpoint demonstration and writes `CHECKPOINT_9.txt` into

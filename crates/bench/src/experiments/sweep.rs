@@ -403,19 +403,13 @@ fn build_prefix_chain(
     half: u64,
 ) -> Option<(Vec<u8>, u64)> {
     let mut system = MendaSystem::new(cfg.clone());
-    let first = match backend {
-        BackendKind::Menda => system.transpose_to_cycle(m, quarter),
-        BackendKind::Pim => system.transpose_to_cycle_on(m, menda_core::PimBackend, quarter),
-    }
-    .expect("pause target refused");
-    let quarter_snapshot = first.snapshot()?;
-    let second = match backend {
-        BackendKind::Menda => system.resume_transpose_to_cycle(m, &quarter_snapshot, half),
-        BackendKind::Pim => {
-            system.resume_transpose_to_cycle_on(m, menda_core::PimBackend, &quarter_snapshot, half)
-        }
-    }
-    .expect("own snapshot must restore");
+    let quarter_snapshot = system
+        .transpose_to_cycle(m, backend, None, Some(quarter))
+        .expect("pause target refused")
+        .snapshot()?;
+    let second = system
+        .transpose_to_cycle(m, backend, Some(&quarter_snapshot), Some(half))
+        .expect("own snapshot must restore");
     match second {
         SnapshotOutcome::Paused(bytes) => Some((bytes, half)),
         SnapshotOutcome::Finished(_) => Some((quarter_snapshot, quarter)),
@@ -428,9 +422,7 @@ fn resume_from(
     m: &menda_sparse::CsrMatrix,
     bytes: &[u8],
 ) -> Result<TransposeResult, menda_core::SnapshotError> {
-    let mut system = MendaSystem::new(cfg.clone());
-    match backend {
-        BackendKind::Menda => system.resume_transpose(m, bytes),
-        BackendKind::Pim => system.resume_transpose_on(m, menda_core::PimBackend, bytes),
-    }
+    MendaSystem::new(cfg.clone())
+        .transpose_to_cycle(m, backend, Some(bytes), None)
+        .map(|outcome| outcome.finished().expect("no pause target"))
 }

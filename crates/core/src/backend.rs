@@ -26,23 +26,37 @@ use menda_dram::{Decoder, Encoder, SnapError};
 use menda_trace::TraceReport;
 
 use crate::config::MendaConfig;
-use crate::job::{self, JobRun, PuJob};
+use crate::job::{JobRun, PuJob};
 use crate::pu::{ProcessingUnit, PuResult};
 
 /// One near-memory accelerator design: a factory for per-rank compute
-/// units plus the operations the execution engine needs from them.
+/// units plus the steps the execution engine drives each unit's job
+/// through — start, advance, finish — and the serialization of an
+/// in-flight job that checkpointing ([`crate::checkpoint`]) builds on.
 ///
-/// Implementations must be `Sync` (the engine executes units on worker
-/// threads) and deterministic: `execute_job` must be a pure function of
+/// Implementations must be `Sync` (the engine drives units on worker
+/// threads) and deterministic: a unit's result must be a pure function of
 /// the unit's configuration and the job, so serial and threaded engine
 /// runs are bit-identical for any backend.
+///
+/// Every launch drives a unit the same way: `start_job`, then `advance`
+/// until it returns `true`, then `finish_run`. Any sequence of `advance`
+/// calls with increasing pause targets — with or without an intervening
+/// `save_run`/`restore_run` round trip through fresh units — must produce
+/// the same [`PuResult`], the same cycle counts, the same
+/// [`menda_dram::DramStats`] and the same DRAM command log as a single
+/// unbounded `advance`. The differential suite
+/// `tests/checkpoint_equivalence.rs` enforces this for every backend.
+///
+/// Serialization only captures *dynamic* state; anything derivable from
+/// the job and the configuration is recomputed at restore.
 pub trait AcceleratorBackend: Sync {
     /// The per-rank device model (owns its rank's [`menda_dram`]
     /// simulator).
     type Unit: Send;
-    /// What one unit returns for one job; converted into the shared
-    /// [`PuResult`] so kernel assembly is backend-agnostic.
-    type UnitResult: Into<PuResult> + Send;
+    /// An in-flight job on one unit: the dynamic state of its execution,
+    /// reified so it can pause and serialize.
+    type Run: Send;
 
     /// Stable backend identifier used in statistics, artifacts and trace
     /// labels (e.g. `"menda"`, `"pim"`).
@@ -57,44 +71,6 @@ pub trait AcceleratorBackend: Sync {
     /// the engine.
     fn build_unit(&self, config: &MendaConfig) -> Self::Unit;
 
-    /// Executes one job to completion on `unit`.
-    fn execute_job(&self, unit: &mut Self::Unit, job: PuJob) -> Self::UnitResult;
-
-    /// The earliest future cycle at which `unit`'s rank can change
-    /// observable state (`None` when inert) — the fast-forward seam every
-    /// backend's event-driven execution path jumps by
-    /// ([`crate::SimOptions::fast_forward`]).
-    fn next_event_cycle(&self, unit: &Self::Unit) -> Option<u64>;
-
-    /// Ends instrumentation and hands the unit's trace report to the
-    /// engine, which retags it with the unit's id
-    /// ([`TraceReport::absorb_as`]). `None` when tracing is off.
-    fn take_trace_report(&self, unit: &mut Self::Unit) -> Option<TraceReport>;
-}
-
-/// A backend whose job execution can be paused at an arbitrary device
-/// cycle, serialized, and later restored bit-identically — the seam the
-/// checkpoint/replay subsystem ([`crate::checkpoint`]) builds on.
-///
-/// The contract mirrors the straight-through [`AcceleratorBackend`] path
-/// exactly: for any job, any sequence of `advance` calls with increasing
-/// pause targets — with or without an intervening
-/// `save_run`/`restore_run` round trip through fresh units — must produce
-/// the same [`PuResult`], the same cycle counts, the same
-/// [`menda_dram::DramStats`] and the same DRAM command log as a single
-/// unbounded `advance`. The differential suite
-/// `tests/checkpoint_equivalence.rs` enforces this for every backend.
-///
-/// Serialization only captures *dynamic* state; anything derivable from
-/// the job and the configuration is recomputed at restore. Checkpointing
-/// is refused while instrumentation is active (`tracing_active`) because
-/// trace sinks are not part of the simulated machine state.
-pub trait ResumableBackend: AcceleratorBackend {
-    /// An in-flight job execution on one unit: the dynamic state that a
-    /// straight-through [`AcceleratorBackend::execute_job`] keeps on its
-    /// host stack, reified so it can pause and serialize.
-    type Run: Send;
-
     /// Starts (but does not advance) a job on `unit`.
     fn start_job(&self, unit: &Self::Unit, job: PuJob) -> Self::Run;
 
@@ -106,15 +82,16 @@ pub trait ResumableBackend: AcceleratorBackend {
     /// Consumes a finished run and produces its result.
     fn finish_run(&self, unit: &Self::Unit, run: Self::Run) -> PuResult;
 
-    /// Whether `unit` currently has an instrumentation sink attached (in
-    /// which case checkpointing must be refused).
-    fn tracing_active(&self, unit: &Self::Unit) -> bool;
+    /// Ends instrumentation and hands the unit's trace report to the
+    /// engine, which retags it with the unit's id
+    /// ([`TraceReport::absorb_as`]). `None` when tracing is off.
+    fn take_trace_report(&self, unit: &mut Self::Unit) -> Option<TraceReport>;
 
     /// Serializes the unit-level dynamic state (cycle counters, request
     /// ids, the rank's DRAM simulator).
     fn save_unit(&self, unit: &Self::Unit, enc: &mut Encoder);
 
-    /// Restores state saved by [`ResumableBackend::save_unit`] into a
+    /// Restores state saved by [`AcceleratorBackend::save_unit`] into a
     /// freshly built unit of the same configuration.
     fn restore_unit(&self, unit: &mut Self::Unit, dec: &mut Decoder<'_>) -> Result<(), SnapError>;
 
@@ -122,9 +99,9 @@ pub trait ResumableBackend: AcceleratorBackend {
     fn save_run(&self, run: &Self::Run, enc: &mut Encoder);
 
     /// Rebuilds a run from `job` plus state saved by
-    /// [`ResumableBackend::save_run`]. The unit must already have been
-    /// restored ([`ResumableBackend::restore_unit`]) — run reconstruction
-    /// may consult unit geometry.
+    /// [`AcceleratorBackend::save_run`]. The unit must already have been
+    /// restored ([`AcceleratorBackend::restore_unit`]) — run
+    /// reconstruction may consult unit geometry.
     fn restore_run(
         &self,
         unit: &Self::Unit,
@@ -140,7 +117,7 @@ pub struct MendaBackend;
 
 impl AcceleratorBackend for MendaBackend {
     type Unit = ProcessingUnit;
-    type UnitResult = PuResult;
+    type Run = JobRun;
 
     fn name(&self) -> &'static str {
         "menda"
@@ -154,22 +131,6 @@ impl AcceleratorBackend for MendaBackend {
         ProcessingUnit::new(config)
     }
 
-    fn execute_job(&self, unit: &mut ProcessingUnit, job: PuJob) -> PuResult {
-        job::execute(unit, job)
-    }
-
-    fn next_event_cycle(&self, unit: &ProcessingUnit) -> Option<u64> {
-        unit.next_event_cycle()
-    }
-
-    fn take_trace_report(&self, unit: &mut ProcessingUnit) -> Option<TraceReport> {
-        unit.take_trace_report()
-    }
-}
-
-impl ResumableBackend for MendaBackend {
-    type Run = JobRun;
-
     fn start_job(&self, unit: &ProcessingUnit, job: PuJob) -> JobRun {
         JobRun::new(unit.leaves() as u64, job)
     }
@@ -182,8 +143,8 @@ impl ResumableBackend for MendaBackend {
         run.finish(unit)
     }
 
-    fn tracing_active(&self, unit: &ProcessingUnit) -> bool {
-        unit.tracing_active()
+    fn take_trace_report(&self, unit: &mut ProcessingUnit) -> Option<TraceReport> {
+        unit.take_trace_report()
     }
 
     fn save_unit(&self, unit: &ProcessingUnit, enc: &mut Encoder) {
@@ -247,7 +208,9 @@ mod tests {
         let m = gen::uniform(32, 256, 17);
         let backend = MendaBackend;
         let mut unit = backend.build_unit(&cfg);
-        let via_backend = backend.execute_job(&mut unit, crate::job::transpose_job(m.clone(), 0));
+        let mut run = backend.start_job(&unit, crate::job::transpose_job(m.clone(), 0));
+        assert!(backend.advance(&mut unit, &mut run, None));
+        let via_backend = backend.finish_run(&unit, run);
         let mut pu = ProcessingUnit::new(&cfg);
         let direct = pu.transpose(&m, 0);
         assert_eq!(via_backend, direct);

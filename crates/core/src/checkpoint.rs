@@ -41,15 +41,22 @@
 //! caught one layer deeper: restored runs execute under `catch_unwind`,
 //! so in-simulator assertions such as the PU deadlock watchdog surface as
 //! [`SnapshotError::Corrupt`] instead of unwinding into the caller.
+//!
+//! Trace sinks are host-side observers, not simulated machine state, so
+//! writing or reading snapshot bytes is refused while instrumentation is
+//! on ([`SnapshotError::TracingActive`]). A traced launch may still pause
+//! and continue in memory any number of times; its trace report equals
+//! the uninterrupted run's.
 
 use std::fmt;
+use std::ops::ControlFlow;
 
 use menda_dram::{fnv1a, Decoder, Encoder, MappingScheme, RowPolicy, SnapError};
 
-use crate::backend::ResumableBackend;
+use crate::backend::AcceleratorBackend;
 use crate::config::MendaConfig;
-use crate::engine::{fan_out, Engine, KernelSpec};
-use crate::job::{job_fingerprint, PuJob};
+use crate::engine::{fan_out, Drive, Engine, KernelSpec, LiveUnit};
+use crate::job::job_fingerprint;
 
 /// Magic bytes opening every snapshot container.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"MENDACKP";
@@ -79,8 +86,9 @@ pub enum SnapshotError {
     /// The payload is structurally invalid (truncated fields, impossible
     /// values) even though the checksum matched.
     Corrupt,
-    /// Checkpointing is refused while instrumentation is active — trace
-    /// sinks are host-side observers, not simulated machine state.
+    /// Writing or restoring a snapshot is refused while instrumentation
+    /// is active — trace sinks are host-side observers, not simulated
+    /// machine state.
     TracingActive,
     /// The operation is not available for this kernel or backend.
     Unsupported(&'static str),
@@ -217,18 +225,17 @@ impl<T> SnapshotOutcome<T> {
     }
 }
 
-/// One unit of a [`LiveLaunch`]: the backend's device model, its
-/// in-flight run, and the job fingerprint its serialized state is keyed
-/// by.
-struct LiveUnit<B: ResumableBackend> {
-    unit: B::Unit,
-    run: B::Run,
-    fingerprint: u64,
-    done: bool,
+impl<T> From<ControlFlow<Vec<u8>, T>> for SnapshotOutcome<T> {
+    fn from(flow: ControlFlow<Vec<u8>, T>) -> Self {
+        match flow {
+            ControlFlow::Continue(out) => SnapshotOutcome::Finished(out),
+            ControlFlow::Break(bytes) => SnapshotOutcome::Paused(bytes),
+        }
+    }
 }
 
 /// A kernel launch held live in memory: every unit with its in-flight
-/// [`ResumableBackend::Run`], started fresh ([`Engine::start`]) or
+/// [`AcceleratorBackend::Run`], started fresh ([`Engine::start`]) or
 /// restored from a snapshot container ([`Engine::restore`]).
 ///
 /// A launch advances in steps ([`LiveLaunch::advance`]), can be captured
@@ -237,7 +244,9 @@ struct LiveUnit<B: ResumableBackend> {
 /// one unbounded step, so a caller that runs a job in quanta keeps the
 /// launch live between them and pays for no serialization at all; the
 /// snapshot entry points ([`Engine::run_to_cycle`], [`Engine::resume`],
-/// [`Engine::resume_to_cycle`]) are compositions of the same steps.
+/// [`Engine::resume_to_cycle`]) are compositions of the same steps. Each
+/// unit goes through the same start, advance and finish steps as in
+/// [`Engine::run`], which holds a unit only while it runs.
 ///
 /// A restored launch runs every step under `catch_unwind`: a forged
 /// container (valid checksum over tampered bytes) can decode into a
@@ -245,7 +254,7 @@ struct LiveUnit<B: ResumableBackend> {
 /// assertions that then fire — the PU deadlock watchdog, slice bounds
 /// during result assembly — surface as [`SnapshotError::Corrupt`] rather
 /// than unwinding into the caller. Drop a launch once a step has failed.
-pub(crate) struct LiveLaunch<'l, B: ResumableBackend, S: KernelSpec> {
+pub(crate) struct LiveLaunch<'l, B: AcceleratorBackend, S: KernelSpec> {
     engine: &'l Engine<'l, B>,
     spec: &'l S,
     units: Vec<LiveUnit<B>>,
@@ -265,7 +274,7 @@ fn contain<T>(
         .unwrap_or(Err(SnapshotError::Corrupt))
 }
 
-impl<'a, B: ResumableBackend> Engine<'a, B> {
+impl<'a, B: AcceleratorBackend> Engine<'a, B> {
     /// Runs `spec` until every unit finishes or reaches device cycle
     /// `pause_at`, whichever comes first. Units that reach the target
     /// serialize; if *any* unit paused the whole launch is captured as a
@@ -273,13 +282,14 @@ impl<'a, B: ResumableBackend> Engine<'a, B> {
     ///
     /// # Errors
     ///
-    /// [`SnapshotError::TracingActive`] when instrumentation is enabled.
+    /// [`SnapshotError::TracingActive`] when the launch pauses with
+    /// instrumentation enabled.
     pub fn run_to_cycle<S: KernelSpec>(
         &self,
         spec: &S,
         pause_at: u64,
     ) -> Result<SnapshotOutcome<S::Output>, SnapshotError> {
-        self.start(spec)?.settle(Some(pause_at))
+        self.start(spec).settle(Some(pause_at)).map(Into::into)
     }
 
     /// Restores a snapshot produced by [`Engine::run_to_cycle`] (or
@@ -315,36 +325,22 @@ impl<'a, B: ResumableBackend> Engine<'a, B> {
         snapshot: &[u8],
         pause_at: u64,
     ) -> Result<SnapshotOutcome<S::Output>, SnapshotError> {
-        self.restore(spec, snapshot)?.settle(Some(pause_at))
+        self.restore(spec, snapshot)?
+            .settle(Some(pause_at))
+            .map(Into::into)
     }
 
     /// Starts `spec` as a [`LiveLaunch`]: builds every unit and starts its
     /// job without advancing it.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::TracingActive`] when instrumentation is enabled.
-    pub(crate) fn start<'l, S: KernelSpec>(
-        &'l self,
-        spec: &'l S,
-    ) -> Result<LiveLaunch<'l, B, S>, SnapshotError> {
-        self.refuse_tracing()?;
-        let units = fan_out(self.unit_threads(), 0..self.config().num_pus(), |p| {
-            let (unit, job, fingerprint) = self.build_unit(spec, p)?;
-            let run = self.backend().start_job(&unit, job);
-            Ok::<_, SnapshotError>(LiveUnit {
-                unit,
-                run,
-                fingerprint,
-                done: false,
-            })
-        });
-        Ok(LiveLaunch {
+    pub(crate) fn start<'l, S: KernelSpec>(&'l self, spec: &'l S) -> LiveLaunch<'l, B, S> {
+        LiveLaunch {
             engine: self,
             spec,
-            units: units.into_iter().collect::<Result<_, _>>()?,
+            units: fan_out(self.unit_threads(), 0..self.config().num_pus(), |p| {
+                self.start_unit(spec, p)
+            }),
             restored: false,
-        })
+        }
     }
 
     /// Restores a snapshot container into a [`LiveLaunch`] of `spec`,
@@ -388,22 +384,6 @@ impl<'a, B: ResumableBackend> Engine<'a, B> {
         Ok(())
     }
 
-    /// Builds unit `p` and its job; checkpointing is refused if the unit
-    /// came up with an instrumentation sink attached.
-    fn build_unit<S: KernelSpec>(
-        &self,
-        spec: &S,
-        p: usize,
-    ) -> Result<(B::Unit, PuJob, u64), SnapshotError> {
-        let unit = self.backend().build_unit(self.config());
-        if self.backend().tracing_active(&unit) {
-            return Err(SnapshotError::TracingActive);
-        }
-        let job = spec.make_job(p);
-        let fingerprint = job_fingerprint(&job);
-        Ok((unit, job, fingerprint))
-    }
-
     fn restore_unit<S: KernelSpec>(
         &self,
         spec: &S,
@@ -411,9 +391,10 @@ impl<'a, B: ResumableBackend> Engine<'a, B> {
         blob: &[u8],
     ) -> Result<LiveUnit<B>, SnapshotError> {
         let backend = self.backend();
-        let (mut unit, job, fingerprint) = self.build_unit(spec, p)?;
+        let mut unit = backend.build_unit(self.config());
+        let job = spec.make_job(p);
         let mut dec = Decoder::new(blob);
-        if dec.u64()? != fingerprint {
+        if dec.u64()? != job_fingerprint(&job) {
             return Err(SnapshotError::JobMismatch);
         }
         backend.restore_unit(&mut unit, &mut dec)?;
@@ -424,7 +405,6 @@ impl<'a, B: ResumableBackend> Engine<'a, B> {
         Ok(LiveUnit {
             unit,
             run,
-            fingerprint,
             done: false,
         })
     }
@@ -493,7 +473,7 @@ impl<'a, B: ResumableBackend> Engine<'a, B> {
     }
 }
 
-impl<'l, B: ResumableBackend, S: KernelSpec> LiveLaunch<'l, B, S> {
+impl<'l, B: AcceleratorBackend, S: KernelSpec> LiveLaunch<'l, B, S> {
     /// Advances every unfinished unit until it finishes or its
     /// job-relative cycle count reaches `pause_at` (`None` runs to
     /// completion), serially or on the engine's scoped workers. Returns
@@ -511,15 +491,11 @@ impl<'l, B: ResumableBackend, S: KernelSpec> LiveLaunch<'l, B, S> {
         let units = self.units.iter_mut();
         contain(restored, || {
             fan_out(self.engine.unit_threads(), units, |u| {
-                contain(restored, || {
-                    u.done = u.done || backend.advance(&mut u.unit, &mut u.run, pause_at);
-                    Ok(())
-                })
+                contain(restored, || Ok(u.advance(backend, pause_at)))
             })
             .into_iter()
-            .collect::<Result<(), _>>()
-        })?;
-        Ok(self.units.iter().all(|u| u.done))
+            .try_fold(true, |all, done| Ok(all & done?))
+        })
     }
 
     /// Serializes the launch into a snapshot container: per unit, the job
@@ -528,17 +504,20 @@ impl<'l, B: ResumableBackend, S: KernelSpec> LiveLaunch<'l, B, S> {
     ///
     /// # Errors
     ///
+    /// [`SnapshotError::TracingActive`] when instrumentation is enabled;
     /// [`SnapshotError::Corrupt`] when a restored launch trips an
     /// in-simulator assertion.
     pub(crate) fn snapshot(&self) -> Result<Vec<u8>, SnapshotError> {
+        self.engine.refuse_tracing()?;
         let backend = self.engine.backend();
         contain(self.restored, || {
             let blobs: Vec<Vec<u8>> = self
                 .units
                 .iter()
-                .map(|u| {
+                .enumerate()
+                .map(|(p, u)| {
                     let mut enc = Encoder::new();
-                    enc.u64(u.fingerprint);
+                    enc.u64(job_fingerprint(&self.spec.make_job(p)));
                     backend.save_unit(&u.unit, &mut enc);
                     backend.save_run(&u.run, &mut enc);
                     enc.into_bytes()
@@ -548,35 +527,59 @@ impl<'l, B: ResumableBackend, S: KernelSpec> LiveLaunch<'l, B, S> {
         })
     }
 
-    /// Runs every unit to completion and assembles the kernel output.
+    /// Runs every unit to completion, finishes each into its result and
+    /// trace report, and assembles the kernel output.
     ///
     /// # Errors
     ///
     /// As [`LiveLaunch::advance`].
     pub(crate) fn finish(mut self) -> Result<S::Output, SnapshotError> {
         self.advance(None)?;
-        let (engine, spec) = (self.engine, self.spec);
+        let (engine, spec, restored) = (self.engine, self.spec, self.restored);
         let backend = engine.backend();
         let units = self.units;
-        contain(self.restored, || {
-            let results = fan_out(engine.unit_threads(), units.into_iter(), |u| {
-                backend.finish_run(&u.unit, u.run)
+        contain(restored, || {
+            let finished = fan_out(engine.unit_threads(), units.into_iter(), |u| {
+                u.finish(backend)
             });
-            Ok(engine.assemble(spec, results, None))
+            Ok(engine.assemble(spec, finished))
         })
     }
 
-    /// Advances to `pause_at`, then finishes if every unit did, or
-    /// captures the launch otherwise.
+    /// Advances to `pause_at`, then finishes if every unit did
+    /// (`Continue`), or captures the launch otherwise (`Break`).
     pub(crate) fn settle(
         mut self,
         pause_at: Option<u64>,
-    ) -> Result<SnapshotOutcome<S::Output>, SnapshotError> {
+    ) -> Result<ControlFlow<Vec<u8>, S::Output>, SnapshotError> {
         if self.advance(pause_at)? {
-            self.finish().map(SnapshotOutcome::Finished)
+            self.finish().map(ControlFlow::Continue)
         } else {
-            self.snapshot().map(SnapshotOutcome::Paused)
+            self.snapshot().map(ControlFlow::Break)
         }
+    }
+}
+
+/// Starts a launch — or restores it from `resume` — and runs it to
+/// `pause_at`, stopping with a snapshot if it paused there.
+pub(crate) struct ToCycle<'s> {
+    pub(crate) resume: Option<&'s [u8]>,
+    pub(crate) pause_at: Option<u64>,
+}
+
+impl Drive for ToCycle<'_> {
+    type Stop = Vec<u8>;
+
+    fn drive<B: AcceleratorBackend, S: KernelSpec>(
+        &mut self,
+        engine: &Engine<'_, B>,
+        spec: &S,
+    ) -> Result<ControlFlow<Vec<u8>, S::Output>, SnapshotError> {
+        match self.resume {
+            Some(bytes) => engine.restore(spec, bytes)?,
+            None => engine.start(spec),
+        }
+        .settle(self.pause_at)
     }
 }
 
@@ -584,11 +587,13 @@ impl<'l, B: ResumableBackend, S: KernelSpec> LiveLaunch<'l, B, S> {
 mod tests {
     use super::*;
     use crate::backend::MendaBackend;
+    use crate::pim::PimBackend;
     use crate::system::TransposeSpec;
-    use menda_sparse::gen;
     use menda_sparse::partition::RowPartition;
+    use menda_sparse::{gen, CsrMatrix};
+    use menda_trace::TraceConfig;
 
-    fn spec<'m>(m: &'m menda_sparse::CsrMatrix, cfg: &MendaConfig) -> TransposeSpec<'m> {
+    fn spec<'m>(m: &'m CsrMatrix, cfg: &MendaConfig) -> TransposeSpec<'m> {
         TransposeSpec::new(m, RowPartition::by_nnz(m, cfg.num_pus()))
     }
 
@@ -628,7 +633,7 @@ mod tests {
     fn pim_backend_pause_resume_matches_straight_run() {
         let cfg = MendaConfig::small_test();
         let m = gen::rmat(96, 768, gen::RmatParams::PAPER, 13);
-        let engine = Engine::with_backend(&cfg, crate::pim::PimBackend);
+        let engine = Engine::with_backend(&cfg, PimBackend);
         let direct = engine.run(&spec(&m, &cfg));
         let outcome = engine.run_to_cycle(&spec(&m, &cfg), 700).unwrap();
         let snapshot = outcome.snapshot().expect("run must pause at cycle 700");
@@ -652,13 +657,53 @@ mod tests {
 
     #[test]
     fn tracing_refuses_checkpointing() {
-        let cfg = MendaConfig::small_test().with_trace(menda_trace::TraceConfig::counting());
+        let cfg = MendaConfig::small_test().with_trace(TraceConfig::counting());
         let m = gen::uniform(16, 64, 5);
         let engine = Engine::new(&cfg);
         assert_eq!(
             engine.run_to_cycle(&spec(&m, &cfg), 10).unwrap_err(),
             SnapshotError::TracingActive
         );
+    }
+
+    /// A traced launch keeps its trace sinks live across pauses, so the
+    /// full trace report of a launch advanced in quanta equals a traced
+    /// straight run's, for both sinks, both backends and both paths.
+    #[test]
+    fn traced_launch_in_quanta_matches_straight_run() {
+        let m = gen::rmat(256, 4096, gen::RmatParams::PAPER, 19);
+        for trace in [TraceConfig::counting(), TraceConfig::chrome()] {
+            for fast in [false, true] {
+                let cfg = MendaConfig::small_test()
+                    .with_threads(1)
+                    .with_fast_forward(fast)
+                    .with_trace(trace);
+                let what = format!("{:?} ff={fast}", trace.mode);
+                traced_quanta(&Engine::new(&cfg), &m, &format!("menda {what}"));
+                traced_quanta(
+                    &Engine::with_backend(&cfg, PimBackend),
+                    &m,
+                    &format!("pim {what}"),
+                );
+            }
+        }
+    }
+
+    fn traced_quanta<B: AcceleratorBackend>(engine: &Engine<'_, B>, m: &CsrMatrix, what: &str) {
+        let spec = spec(m, engine.config());
+        let straight = engine.run(&spec);
+        assert!(straight.trace.is_some(), "{what}: straight run is untraced");
+        for quantum in [1, 37, 300, 5000] {
+            let mut launch = engine.start(&spec);
+            let mut pause_at = quantum;
+            while !launch.advance(Some(pause_at)).unwrap() {
+                pause_at += quantum;
+            }
+            assert!(pause_at > quantum, "{what}: quantum {quantum} never paused");
+            // `TransposeResult` equality covers the whole trace report.
+            let stepped = launch.finish().unwrap();
+            assert_eq!(stepped, straight, "{what}: quantum {quantum}");
+        }
     }
 
     #[test]

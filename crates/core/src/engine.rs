@@ -11,23 +11,35 @@
 //! run for any thread count ([`crate::SimOptions::threads`] picks the
 //! count).
 //!
+//! Every launch drives each unit through the same steps — build the unit
+//! and start its job, advance it, finish it into its result and trace
+//! report — whether it runs straight through ([`Engine::run`]) or is held
+//! live across pause points by the checkpoint layer
+//! ([`crate::checkpoint`]).
+//!
 //! The engine is generic over the [`AcceleratorBackend`] being simulated;
 //! [`Engine::new`] keeps the MeNDA merge-tree PU as the default and
 //! [`Engine::with_backend`] swaps in another design (e.g. the SparseP-
-//! style PIM model in [`crate::pim`]). Each unit simulates under the
+//! style PIM model in [`crate::pim`]). Drivers that pick the backend at
+//! run time name it with a [`BackendKind`]; one private dispatch turns
+//! that into a backend for every such launch. Each unit simulates under the
 //! execution discipline selected by [`crate::SimOptions::fast_forward`]:
 //! the event-driven core (default) skips quiescent spans and runs busy
 //! spans on wakeups, while `false` keeps the per-cycle poll-everything
 //! reference; the two are bit-identical in output, cycle count and
 //! statistics (see the fast-forward differential suites).
 
+use std::convert::Infallible;
+use std::ops::ControlFlow;
 use std::sync::Mutex;
 
 use menda_trace::TraceReport;
 
-use crate::backend::{AcceleratorBackend, MendaBackend};
+use crate::backend::{AcceleratorBackend, BackendKind, MendaBackend};
+use crate::checkpoint::SnapshotError;
 use crate::config::MendaConfig;
 use crate::job::PuJob;
+use crate::pim::PimBackend;
 use crate::pu::PuResult;
 use crate::stats::RunStats;
 
@@ -98,39 +110,49 @@ impl<'a, B: AcceleratorBackend> Engine<'a, B> {
         self.config.sim.effective_threads(self.config.num_pus())
     }
 
-    /// Runs one kernel launch: builds and executes one job per unit, then
-    /// assembles. With more than one worker thread the unit simulations
-    /// run concurrently; outputs and statistics are identical to a serial
-    /// run because units are independent.
+    /// Runs one kernel launch: builds, runs and drops each unit inside
+    /// its own fan-out item, so only as many units are live as there are
+    /// worker threads, then assembles. With more than one worker thread
+    /// the unit simulations run concurrently; outputs and statistics are
+    /// identical to a serial run because units are independent.
     pub fn run<S: KernelSpec>(&self, spec: &S) -> S::Output {
-        let outcomes = fan_out(self.unit_threads(), 0..self.config.num_pus(), |p| {
-            let mut unit = self.backend.build_unit(self.config);
-            let result = self.backend.execute_job(&mut unit, spec.make_job(p)).into();
-            (result, self.backend.take_trace_report(&mut unit))
+        let finished = fan_out(self.unit_threads(), 0..self.config.num_pus(), |p| {
+            let mut unit = self.start_unit(spec, p);
+            unit.advance(&self.backend, None);
+            unit.finish(&self.backend)
         });
-        let (results, reports): (Vec<PuResult>, Vec<Option<TraceReport>>) =
-            outcomes.into_iter().unzip();
-        // Aggregate per-unit trace reports in unit order so counters merge
-        // deterministically and Chrome pids identify the unit.
-        let mut aggregated: Option<TraceReport> = None;
-        for (p, report) in reports.into_iter().enumerate() {
+        self.assemble(spec, finished)
+    }
+
+    /// Builds unit `p` and starts its job without advancing it.
+    pub(crate) fn start_unit<S: KernelSpec>(&self, spec: &S, p: usize) -> LiveUnit<B> {
+        let unit = self.backend.build_unit(self.config);
+        let run = self.backend.start_job(&unit, spec.make_job(p));
+        LiveUnit {
+            unit,
+            run,
+            done: false,
+        }
+    }
+
+    /// Merges the finished units' trace reports in unit order, so counters
+    /// merge deterministically and Chrome pids identify the unit, rolls
+    /// their results up into [`RunStats`] and hands both to the kernel.
+    pub(crate) fn assemble<S: KernelSpec>(
+        &self,
+        spec: &S,
+        finished: Vec<(PuResult, Option<TraceReport>)>,
+    ) -> S::Output {
+        let mut results = Vec::with_capacity(finished.len());
+        let mut trace: Option<TraceReport> = None;
+        for (p, (result, report)) in finished.into_iter().enumerate() {
+            results.push(result);
             if let Some(report) = report {
-                aggregated
+                trace
                     .get_or_insert_with(TraceReport::default)
                     .absorb_as(report, p as u32);
             }
         }
-        self.assemble(spec, results, aggregated)
-    }
-
-    /// Rolls per-unit results (in unit order) up into [`RunStats`] and
-    /// hands both to the kernel for assembly.
-    pub(crate) fn assemble<S: KernelSpec>(
-        &self,
-        spec: &S,
-        results: Vec<PuResult>,
-        trace: Option<TraceReport>,
-    ) -> S::Output {
         let mut run = RunStats::collect(
             self.backend.frequency_mhz(self.config),
             results.iter().map(|r| r.stats.clone()).collect(),
@@ -139,6 +161,86 @@ impl<'a, B: AcceleratorBackend> Engine<'a, B> {
         run.trace = trace;
         spec.assemble(results, run)
     }
+}
+
+/// One unit of a launch: the backend's device model and its in-flight
+/// run.
+pub(crate) struct LiveUnit<B: AcceleratorBackend> {
+    pub(crate) unit: B::Unit,
+    pub(crate) run: B::Run,
+    /// The run has finished; further advances are no-ops.
+    pub(crate) done: bool,
+}
+
+impl<B: AcceleratorBackend> LiveUnit<B> {
+    /// Advances the run until it finishes or its job-relative cycle count
+    /// reaches `pause_at` (`None` runs to completion). Returns whether it
+    /// has finished.
+    pub(crate) fn advance(&mut self, backend: &B, pause_at: Option<u64>) -> bool {
+        self.done = self.done || backend.advance(&mut self.unit, &mut self.run, pause_at);
+        self.done
+    }
+
+    /// Consumes a finished unit into its result and its trace report.
+    pub(crate) fn finish(mut self, backend: &B) -> (PuResult, Option<TraceReport>) {
+        let result = backend.finish_run(&self.unit, self.run);
+        (result, backend.take_trace_report(&mut self.unit))
+    }
+}
+
+/// How a launch whose backend is picked at run time is driven once
+/// [`dispatch`] has built its engine: to the kernel's output
+/// (`Continue`) or to an early stop (`Break`).
+pub(crate) trait Drive {
+    /// What a launch that stops early ends with.
+    type Stop;
+
+    fn drive<B: AcceleratorBackend, S: KernelSpec>(
+        &mut self,
+        engine: &Engine<'_, B>,
+        spec: &S,
+    ) -> Result<ControlFlow<Self::Stop, S::Output>, SnapshotError>;
+}
+
+/// Uninterrupted execution: [`Engine::run`].
+pub(crate) struct Straight;
+
+impl Drive for Straight {
+    type Stop = Infallible;
+
+    fn drive<B: AcceleratorBackend, S: KernelSpec>(
+        &mut self,
+        engine: &Engine<'_, B>,
+        spec: &S,
+    ) -> Result<ControlFlow<Infallible, S::Output>, SnapshotError> {
+        Ok(ControlFlow::Continue(engine.run(spec)))
+    }
+}
+
+/// Runs `drive` on the backend `kind` names — the one place a
+/// [`BackendKind`] becomes a backend.
+pub(crate) fn dispatch<D: Drive, S: KernelSpec>(
+    config: &MendaConfig,
+    kind: BackendKind,
+    spec: &S,
+    drive: &mut D,
+) -> Result<ControlFlow<D::Stop, S::Output>, SnapshotError> {
+    match kind {
+        BackendKind::Menda => drive.drive(&Engine::with_backend(config, MendaBackend), spec),
+        BackendKind::Pim => drive.drive(&Engine::with_backend(config, PimBackend), spec),
+    }
+}
+
+/// Runs `spec` to completion on the backend `kind` names.
+pub(crate) fn run_kind<S: KernelSpec>(
+    config: &MendaConfig,
+    kind: BackendKind,
+    spec: &S,
+) -> S::Output {
+    let Ok(ControlFlow::Continue(output)) = dispatch(config, kind, spec, &mut Straight) else {
+        unreachable!("a straight run neither stops nor fails")
+    };
+    output
 }
 
 /// Maps `f` over `items` and returns the results in item order: serially

@@ -5,7 +5,7 @@
 //! kernel-specific streams, then `ceil(log_l streams) - 1` further merges
 //! over ping-pong intermediate runs, with the last iteration writing the
 //! final output format. [`PuJob`] captures everything that differs between
-//! kernels and [`execute`] runs the loop, so the kernel drivers contain no
+//! kernels and [`JobRun`] runs the loop, so the kernel drivers contain no
 //! per-iteration plumbing of their own.
 
 use menda_dram::{fnv1a, Decoder, Encoder, SnapError};
@@ -159,21 +159,6 @@ pub fn transpose_job(part: CsrMatrix, row_offset: usize) -> PuJob {
     }
 }
 
-/// Executes `job` on `pu`: iteration 0 over the job's own streams, then
-/// merges of the ping-pong intermediates until a single run remains.
-///
-/// A job with no streams finishes immediately with empty output and zero
-/// iterations — the uniform empty-work accounting all kernels share.
-///
-/// Thin wrapper over [`JobRun`] with no pause target, so the
-/// straight-through path and the checkpointable path are the same code.
-pub fn execute(pu: &mut ProcessingUnit, job: PuJob) -> PuResult {
-    let mut run = JobRun::new(pu.leaves() as u64, job);
-    let done = run.run_until(pu, None);
-    debug_assert!(done, "unbounded job run must finish");
-    run.finish(pu)
-}
-
 /// The output mode of iteration `it` out of `iterations`. Intermediate
 /// iterations ping-pong between the two COO regions: iteration `it`
 /// writes region `it % 2` (and therefore reads region `(it - 1) % 2`).
@@ -192,20 +177,23 @@ fn out_mode(job: &PuJob, it: u32, iterations: u32) -> OutputMode {
     }
 }
 
-/// One PU's multi-iteration job execution as a pausable state machine —
-/// the checkpoint seam of the MeNDA backend.
+/// One PU's multi-iteration job execution as a pausable state machine:
+/// iteration 0 over the job's own streams, then merges of the ping-pong
+/// intermediates until a single run remains. A job with no streams
+/// finishes immediately with empty output and zero iterations — the
+/// uniform empty-work accounting all kernels share.
 ///
 /// Between calls the run is parked either *between iterations* (`paused`
 /// empty: the next call starts iteration `it` from scratch) or *mid
-/// iteration* (`paused` holds the in-flight [`IterState`], frozen at the
-/// top of the cycle loop). Both parking positions serialize; everything
-/// derivable from the job (descriptor lists of later iterations, output
-/// modes, geometry) is recomputed at restore rather than stored.
+/// iteration* (`paused` holds the in-flight iteration state, frozen at
+/// the top of the cycle loop). Both parking positions serialize;
+/// everything derivable from the job (descriptor lists of later
+/// iterations, output modes, geometry) is recomputed at restore rather
+/// than stored.
 ///
 /// The type is public only so it can serve as
-/// [`crate::backend::ResumableBackend::Run`] for the MeNDA backend;
-/// construct and drive it through the [`crate::Engine`] checkpoint entry
-/// points.
+/// [`crate::AcceleratorBackend::Run`] for the MeNDA backend; drive it
+/// through the [`crate::Engine`].
 #[derive(Debug)]
 pub struct JobRun {
     job: PuJob,
@@ -272,59 +260,18 @@ impl JobRun {
     pub(crate) fn run_until(&mut self, pu: &mut ProcessingUnit, pause_at: Option<u64>) -> bool {
         while !self.finished {
             let base = self.base_cycles();
-            if self.paused.is_none() {
-                if let Some(t) = pause_at {
-                    if t <= base {
-                        return false;
-                    }
-                }
+            let paused = self.paused.take();
+            if paused.is_none() && pause_at.is_some_and(|t| t <= base) {
+                return false;
             }
-            let out = out_mode(&self.job, self.it, self.iterations);
-            let (descriptors, source, gate): (
-                &[StreamDescriptor],
-                IterSource<'_>,
-                Option<&PtrGate>,
-            ) = if self.it == 0 {
-                (
-                    &self.job.descriptors,
-                    self.job.source.iter_source(),
-                    self.job.gate.as_ref(),
-                )
-            } else {
-                // Feeding the raw (minors, majors) back as the COO
-                // (rows, cols) arrays re-emits each element with
-                // unchanged keys, for every kernel.
-                let source = match self.job.intermediate {
-                    IntermediateFormat::Coo => IterSource::Coo {
-                        rows: &self.prev.0,
-                        cols: &self.prev.1,
-                        vals: &self.prev.2,
-                    },
-                    IntermediateFormat::Pair => IterSource::Pair {
-                        idx: &self.prev.1,
-                        vals: &self.prev.2,
-                    },
-                };
-                (&self.descriptors, source, None)
-            };
-            let p = IterParams {
-                descriptors,
-                source,
-                gate,
-                out,
-                reduce: self.job.reduce,
-            };
-            let mut st = match self.paused.take() {
+            let p = self.params();
+            let mut st = match paused {
                 Some(st) => st,
                 None => {
                     let st = IterState::new(pu, &p);
                     if st.trivially_done {
-                        // Mirror `run_rounds`: no trace span, default
-                        // statistics, empty output.
-                        self.iter_stats.push(st.it);
-                        self.prev = (Vec::new(), Vec::new(), Vec::new());
-                        self.boundaries.clear();
-                        self.advance_iteration();
+                        // No trace span, default statistics, empty output.
+                        self.complete_iteration(Default::default(), Vec::new(), st.it);
                         continue;
                     }
                     pu.begin_iteration_trace();
@@ -334,10 +281,7 @@ impl JobRun {
             let local = pause_at.map(|t| t.saturating_sub(base));
             if pu.iter_loop(&p, &mut st, local) {
                 let (emitted, bounds, s) = pu.finish_iteration(st);
-                self.iter_stats.push(s);
-                self.prev = emitted;
-                self.boundaries = bounds;
-                self.advance_iteration();
+                self.complete_iteration(emitted, bounds, s);
             } else {
                 self.paused = Some(st);
                 return false;
@@ -346,19 +290,66 @@ impl JobRun {
         true
     }
 
-    /// Moves to the next iteration: recomputes its stream descriptors from
-    /// the completed iteration's run boundaries, or marks the job done.
-    fn advance_iteration(&mut self) {
-        self.it += 1;
-        if self.it >= self.iterations {
-            self.finished = true;
-            self.descriptors = Vec::new();
+    /// The inputs of iteration `it`: the job's own streams for iteration
+    /// 0, the previous iteration's runs after that.
+    fn params(&self) -> IterParams<'_> {
+        let (descriptors, source, gate) = if self.it == 0 {
+            let job = &self.job;
+            (
+                &job.descriptors[..],
+                job.source.iter_source(),
+                job.gate.as_ref(),
+            )
         } else {
-            let read_region = ((self.it - 1) % 2) as u8;
-            self.descriptors = match self.job.intermediate {
-                IntermediateFormat::Coo => runs_to_descriptors(&self.boundaries, read_region),
-                IntermediateFormat::Pair => pair_runs_to_descriptors(&self.boundaries, read_region),
+            // Feeding the raw (minors, majors) back as the COO
+            // (rows, cols) arrays re-emits each element with unchanged
+            // keys, for every kernel.
+            let (minors, majors, vals) = &self.prev;
+            let source = match self.job.intermediate {
+                IntermediateFormat::Coo => IterSource::Coo {
+                    rows: minors,
+                    cols: majors,
+                    vals,
+                },
+                IntermediateFormat::Pair => IterSource::Pair { idx: majors, vals },
             };
+            (&self.descriptors[..], source, None)
+        };
+        IterParams {
+            descriptors,
+            source,
+            gate,
+            out: out_mode(&self.job, self.it, self.iterations),
+            reduce: self.job.reduce,
+        }
+    }
+
+    /// Records a completed iteration's output and statistics, then moves
+    /// to the next iteration or marks the job done.
+    fn complete_iteration(
+        &mut self,
+        emitted: EmittedTriples,
+        boundaries: Vec<usize>,
+        stats: IterationStats,
+    ) {
+        self.iter_stats.push(stats);
+        self.prev = emitted;
+        self.boundaries = boundaries;
+        self.it += 1;
+        self.finished = self.it >= self.iterations;
+        self.descriptors = self.run_descriptors();
+    }
+
+    /// Stream descriptors over the previous iteration's runs, which the
+    /// current iteration reads (empty for iteration 0 and once finished).
+    fn run_descriptors(&self) -> Vec<StreamDescriptor> {
+        if self.finished || self.it == 0 {
+            return Vec::new();
+        }
+        let read_region = ((self.it - 1) % 2) as u8;
+        match self.job.intermediate {
+            IntermediateFormat::Coo => runs_to_descriptors(&self.boundaries, read_region),
+            IntermediateFormat::Pair => pair_runs_to_descriptors(&self.boundaries, read_region),
         }
     }
 
@@ -459,47 +450,9 @@ impl JobRun {
             descriptors: Vec::new(),
             paused: None,
         };
-        if !run.finished && run.it > 0 {
-            let read_region = ((run.it - 1) % 2) as u8;
-            run.descriptors = match run.job.intermediate {
-                IntermediateFormat::Coo => runs_to_descriptors(&run.boundaries, read_region),
-                IntermediateFormat::Pair => pair_runs_to_descriptors(&run.boundaries, read_region),
-            };
-        }
+        run.descriptors = run.run_descriptors();
         if has_paused {
-            let out = out_mode(&run.job, run.it, run.iterations);
-            let (descriptors, source, gate): (
-                &[StreamDescriptor],
-                IterSource<'_>,
-                Option<&PtrGate>,
-            ) = if run.it == 0 {
-                (
-                    &run.job.descriptors,
-                    run.job.source.iter_source(),
-                    run.job.gate.as_ref(),
-                )
-            } else {
-                let source = match run.job.intermediate {
-                    IntermediateFormat::Coo => IterSource::Coo {
-                        rows: &run.prev.0,
-                        cols: &run.prev.1,
-                        vals: &run.prev.2,
-                    },
-                    IntermediateFormat::Pair => IterSource::Pair {
-                        idx: &run.prev.1,
-                        vals: &run.prev.2,
-                    },
-                };
-                (&run.descriptors, source, None)
-            };
-            let p = IterParams {
-                descriptors,
-                source,
-                gate,
-                out,
-                reduce: run.job.reduce,
-            };
-            let st = IterState::restore_state(pu, &p, dec)?;
+            let st = IterState::restore_state(pu, &run.params(), dec)?;
             run.paused = Some(st);
         }
         Ok(run)
@@ -581,6 +534,13 @@ mod tests {
     use super::*;
     use crate::config::MendaConfig;
     use menda_sparse::gen;
+
+    /// Runs `job` on `pu` to completion in one unbounded step.
+    fn execute(pu: &mut ProcessingUnit, job: PuJob) -> PuResult {
+        let mut run = JobRun::new(pu.leaves() as u64, job);
+        assert!(run.run_until(pu, None));
+        run.finish(pu)
+    }
 
     #[test]
     fn transpose_job_gates_all_pointer_blocks() {

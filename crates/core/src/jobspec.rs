@@ -28,11 +28,10 @@ use menda_trace::TraceConfig;
 
 use menda_sparse::partition::RowPartition;
 
-use crate::backend::{AcceleratorBackend, BackendKind, MendaBackend, ResumableBackend};
-use crate::checkpoint::{SnapshotError, SnapshotOutcome};
+use crate::backend::{AcceleratorBackend, BackendKind};
+use crate::checkpoint::{SnapshotError, ToCycle};
 use crate::config::MendaConfig;
-use crate::engine::{Engine, KernelSpec};
-use crate::pim::PimBackend;
+use crate::engine::{dispatch, Drive, Engine, KernelSpec, Straight};
 use crate::spgemm;
 use crate::spmv;
 use crate::stats::PuStats;
@@ -66,6 +65,16 @@ impl fmt::Display for JobError {
 }
 
 impl std::error::Error for JobError {}
+
+/// A checkpoint-layer error describes input this spec cannot accept
+/// (corrupt bytes, a snapshot from a different job, a snapshot read or
+/// written while tracing), so every variant surfaces as
+/// [`JobError::Invalid`] — never a panic.
+impl From<SnapshotError> for JobError {
+    fn from(e: SnapshotError) -> Self {
+        JobError::Invalid(format!("snapshot: {e}"))
+    }
+}
 
 /// Where the job's input matrix comes from. Everything is generated
 /// deterministically from the spec plus the job seed, so a job
@@ -695,9 +704,9 @@ impl JobSpec {
     ///
     /// # Errors
     ///
-    /// [`JobError::Invalid`] for validation failures and refused
-    /// checkpointing (tracing active), [`JobError::Failed`] for caught
-    /// simulator panics.
+    /// [`JobError::Invalid`] for validation failures and for a traced
+    /// job that pauses (its snapshot is refused), [`JobError::Failed`]
+    /// for caught simulator panics.
     pub fn execute_to_cycle(&self, pause_at: u64) -> Result<JobProgress, JobError> {
         self.run_to_cycle(None, Some(pause_at))
     }
@@ -728,15 +737,16 @@ impl JobSpec {
 
     /// Preemptible execution: runs the job in quanta of `quantum` device
     /// cycles against live simulator state — no snapshot is encoded or
-    /// restored between quanta — and calls `at_boundary` with the
-    /// boundary cycle each time the run pauses at one. Returns
-    /// `Continue` with the finished [`JobOutcome`], byte-identical to
-    /// [`JobSpec::execute`]'s, or `Break` with the boundary cycle at which
+    /// restored between quanta, so traced jobs run in quanta too — and
+    /// calls `at_boundary` with the boundary cycle each time the run
+    /// pauses at one. Returns `Continue` with the finished
+    /// [`JobOutcome`], byte-identical to [`JobSpec::execute`]'s (trace
+    /// event count included), or `Break` with the boundary cycle at which
     /// `at_boundary` stopped the run.
     ///
     /// # Errors
     ///
-    /// As [`JobSpec::execute_to_cycle`].
+    /// As [`JobSpec::execute`].
     pub fn execute_in_quanta(
         &self,
         quantum: u64,
@@ -750,18 +760,18 @@ impl JobSpec {
 
     fn run_to_cycle(
         &self,
-        snapshot: Option<&[u8]>,
+        resume: Option<&[u8]>,
         pause_at: Option<u64>,
     ) -> Result<JobProgress, JobError> {
-        Ok(match self.run(ToCycle { snapshot, pause_at })? {
+        Ok(match self.run(ToCycle { resume, pause_at })? {
             ControlFlow::Continue(outcome) => JobProgress::Finished(outcome),
             ControlFlow::Break(snapshot) => JobProgress::Paused(snapshot),
         })
     }
 
-    /// The one run path: validates, then runs the job under `drive`
-    /// inside `catch_unwind`, so a simulator panic fails the job instead
-    /// of the process hosting it.
+    /// The one run path: validates, then runs the job under `drive` on
+    /// its backend inside `catch_unwind`, so a simulator panic fails the
+    /// job instead of the process hosting it.
     fn run<D: Drive>(&self, drive: D) -> Result<ControlFlow<D::Stop, JobOutcome>, JobError> {
         let config = self.build_config()?;
         catch_unwind(AssertUnwindSafe(|| self.run_inner(&config, drive)))
@@ -810,11 +820,7 @@ impl JobSpec {
                         b.ncols()
                     )));
                 }
-                let frequency_mhz = match self.backend {
-                    BackendKind::Menda => MendaBackend.frequency_mhz(config),
-                    BackendKind::Pim => PimBackend.frequency_mhz(config),
-                };
-                let spec = spgemm::make_spec(&matrix, &b, config, frequency_mhz);
+                let spec = spgemm::make_spec(&matrix, &b, config);
                 dispatch(config, self.backend, &spec, &mut drive)?.map_continue(|r| {
                     let cycles = r.merge_cycles + r.multiply_cycles;
                     let digest = spgemm_digest(&r);
@@ -855,62 +861,6 @@ pub enum JobProgress {
     Paused(Vec<u8>),
 }
 
-/// How a job execution drives the engine once [`JobSpec::run_inner`] has
-/// built the kernel spec and [`dispatch`] has picked the backend: either
-/// to the kernel's output (`Continue`) or to an early stop (`Break`).
-trait Drive {
-    /// What an execution that stops early ends with.
-    type Stop;
-
-    fn drive<B: ResumableBackend, S: KernelSpec>(
-        &mut self,
-        engine: &Engine<'_, B>,
-        spec: &S,
-    ) -> Result<ControlFlow<Self::Stop, S::Output>, SnapshotError>;
-}
-
-/// Uninterrupted execution ([`JobSpec::execute`]); the only drive that
-/// admits tracing.
-struct Straight;
-
-impl Drive for Straight {
-    type Stop = std::convert::Infallible;
-
-    fn drive<B: ResumableBackend, S: KernelSpec>(
-        &mut self,
-        engine: &Engine<'_, B>,
-        spec: &S,
-    ) -> Result<ControlFlow<Self::Stop, S::Output>, SnapshotError> {
-        Ok(ControlFlow::Continue(engine.run(spec)))
-    }
-}
-
-/// Start (or restore `snapshot`) and run to `pause_at`, stopping with a
-/// snapshot if the launch paused.
-struct ToCycle<'s> {
-    snapshot: Option<&'s [u8]>,
-    pause_at: Option<u64>,
-}
-
-impl Drive for ToCycle<'_> {
-    type Stop = Vec<u8>;
-
-    fn drive<B: ResumableBackend, S: KernelSpec>(
-        &mut self,
-        engine: &Engine<'_, B>,
-        spec: &S,
-    ) -> Result<ControlFlow<Vec<u8>, S::Output>, SnapshotError> {
-        let launch = match self.snapshot {
-            Some(bytes) => engine.restore(spec, bytes)?,
-            None => engine.start(spec)?,
-        };
-        Ok(match launch.settle(self.pause_at)? {
-            SnapshotOutcome::Finished(output) => ControlFlow::Continue(output),
-            SnapshotOutcome::Paused(bytes) => ControlFlow::Break(bytes),
-        })
-    }
-}
-
 /// One live launch advanced a quantum at a time, asking `at_boundary`
 /// between quanta whether to go on; stops with the boundary cycle.
 struct Quanta<F> {
@@ -921,12 +871,12 @@ struct Quanta<F> {
 impl<F: FnMut(u64) -> ControlFlow<()>> Drive for Quanta<F> {
     type Stop = u64;
 
-    fn drive<B: ResumableBackend, S: KernelSpec>(
+    fn drive<B: AcceleratorBackend, S: KernelSpec>(
         &mut self,
         engine: &Engine<'_, B>,
         spec: &S,
     ) -> Result<ControlFlow<u64, S::Output>, SnapshotError> {
-        let mut launch = engine.start(spec)?;
+        let mut launch = engine.start(spec);
         let mut pause_at = self.quantum;
         while !launch.advance(Some(pause_at))? {
             if (self.at_boundary)(pause_at).is_break() {
@@ -936,28 +886,6 @@ impl<F: FnMut(u64) -> ControlFlow<()>> Drive for Quanta<F> {
         }
         launch.finish().map(ControlFlow::Continue)
     }
-}
-
-/// Runs `drive` on the runtime-selected backend.
-fn dispatch<D: Drive, S: KernelSpec>(
-    config: &MendaConfig,
-    kind: BackendKind,
-    spec: &S,
-    drive: &mut D,
-) -> Result<ControlFlow<D::Stop, S::Output>, JobError> {
-    match kind {
-        BackendKind::Menda => drive.drive(&Engine::with_backend(config, MendaBackend), spec),
-        BackendKind::Pim => drive.drive(&Engine::with_backend(config, PimBackend), spec),
-    }
-    .map_err(snapshot_error)
-}
-
-/// Maps a checkpoint-layer error onto the job-layer error type: every
-/// variant describes input this spec cannot accept (corrupt bytes, a
-/// snapshot from a different job, refused-while-tracing), so they all
-/// surface as [`JobError::Invalid`] — never a panic.
-fn snapshot_error(e: SnapshotError) -> JobError {
-    JobError::Invalid(format!("snapshot: {e}"))
 }
 
 /// The message of a caught panic payload.
@@ -1488,10 +1416,12 @@ mod tests {
         assert_eq!(stopped, ControlFlow::Break(600));
         let mut traced = spec.clone();
         traced.trace_counting = true;
-        assert!(matches!(
+        let traced_straight = traced.execute().expect("traced straight");
+        assert!(traced_straight.trace_events.is_some());
+        assert_eq!(
             traced.execute_in_quanta(300, |_| ControlFlow::Continue(())),
-            Err(JobError::Invalid(m)) if m.contains("tracing")
-        ));
+            Ok(ControlFlow::Continue(traced_straight))
+        );
     }
 
     #[test]

@@ -70,7 +70,7 @@ pub mod spmv;
 mod stats;
 mod system;
 
-pub use backend::{AcceleratorBackend, BackendKind, MendaBackend, ResumableBackend};
+pub use backend::{AcceleratorBackend, BackendKind, MendaBackend};
 pub use checkpoint::{
     config_fingerprint, SnapshotError, SnapshotOutcome, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };

@@ -43,7 +43,7 @@
 use menda_dram::{Decoder, DramStats, Encoder, MemRequest, MemorySystem, ReqKind, SnapError};
 use menda_trace::TraceReport;
 
-use crate::backend::{AcceleratorBackend, ResumableBackend};
+use crate::backend::AcceleratorBackend;
 use crate::config::{MendaConfig, PimConfig};
 use crate::job::{FinalOutput, IntermediateFormat, PuJob};
 use crate::layout::{AddressLayout, BLOCK_BYTES, PTR_BYTES};
@@ -65,7 +65,7 @@ pub struct PimBackend;
 
 impl AcceleratorBackend for PimBackend {
     type Unit = PimUnit;
-    type UnitResult = PimRankResult;
+    type Run = PimRun;
 
     fn name(&self) -> &'static str {
         "pim"
@@ -79,42 +79,41 @@ impl AcceleratorBackend for PimBackend {
         PimUnit::new(config)
     }
 
-    fn execute_job(&self, unit: &mut PimUnit, job: PuJob) -> PimRankResult {
-        unit.execute_job(job)
+    fn start_job(&self, unit: &PimUnit, job: PuJob) -> PimRun {
+        PimRun::new(unit, job)
     }
 
-    fn next_event_cycle(&self, unit: &PimUnit) -> Option<u64> {
-        unit.next_event_cycle()
+    fn advance(&self, unit: &mut PimUnit, run: &mut PimRun, pause_at: Option<u64>) -> bool {
+        run.run_until(unit, pause_at)
+    }
+
+    fn finish_run(&self, unit: &PimUnit, run: PimRun) -> PuResult {
+        run.finish(unit)
     }
 
     fn take_trace_report(&self, unit: &mut PimUnit) -> Option<TraceReport> {
         unit.take_trace_report()
     }
-}
 
-/// One job's output from a PIM rank, convertible into the shared
-/// [`PuResult`] for backend-agnostic kernel assembly.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PimRankResult {
-    /// Major sort keys of the merged output, ascending.
-    pub majors: Vec<u32>,
-    /// Minor sort keys (ascending within each major).
-    pub minors: Vec<u32>,
-    /// Values, aligned with the key arrays.
-    pub values: Vec<f32>,
-    /// Execution statistics: iteration 0 is phase A (stream-in + local
-    /// sort), iteration 1 phase B (rank merge + write-back).
-    pub stats: PuStats,
-}
+    fn save_unit(&self, unit: &PimUnit, enc: &mut Encoder) {
+        unit.save_unit_state(enc);
+    }
 
-impl From<PimRankResult> for PuResult {
-    fn from(r: PimRankResult) -> PuResult {
-        PuResult {
-            majors: r.majors,
-            minors: r.minors,
-            values: r.values,
-            stats: r.stats,
-        }
+    fn restore_unit(&self, unit: &mut PimUnit, dec: &mut Decoder<'_>) -> Result<(), SnapError> {
+        unit.restore_unit_state(dec)
+    }
+
+    fn save_run(&self, run: &PimRun, enc: &mut Encoder) {
+        run.save_state(enc);
+    }
+
+    fn restore_run(
+        &self,
+        unit: &PimUnit,
+        job: PuJob,
+        dec: &mut Decoder<'_>,
+    ) -> Result<PimRun, SnapError> {
+        PimRun::restore_state(unit, job, dec)
     }
 }
 
@@ -168,12 +167,6 @@ impl PimUnit {
         }
     }
 
-    /// The earliest future bus cycle at which this rank can change
-    /// observable state (`None` when inert) — the fast-forward seam.
-    pub fn next_event_cycle(&self) -> Option<u64> {
-        self.mem.next_event_cycle()
-    }
-
     /// The rank's DRAM command log (empty unless
     /// [`menda_dram::DramConfig::log_commands`] is set) — mirrors
     /// [`crate::ProcessingUnit::dram_command_log`] so differential suites
@@ -200,21 +193,6 @@ impl PimUnit {
             report.merge(dram);
         }
         Some(report)
-    }
-
-    /// Executes one job on this rank: phase A (stream-in + local sorts)
-    /// then phase B (rank-level merge + write-back). A job with no
-    /// streams finishes immediately with empty output and zero
-    /// iterations, matching the MeNDA PU's empty-work accounting.
-    ///
-    /// Thin wrapper over the checkpointable [`PimRun`] phase machine with
-    /// no pause target, so the straight-through path and the
-    /// pause/restore path cannot diverge.
-    pub fn execute_job(&mut self, job: PuJob) -> PimRankResult {
-        let mut run = PimRun::new(self, job);
-        let done = run.run_until(self, None);
-        debug_assert!(done, "unbounded PIM job run must finish");
-        run.finish(self)
     }
 
     /// DPU cycles to merge-sort `n` resident elements:
@@ -369,9 +347,11 @@ impl PimPhase {
     }
 }
 
-/// A checkpointable in-flight PIM job: the phase machine equivalent of
-/// the old straight-through `execute_job`, able to pause at an arbitrary
-/// DPU cycle and serialize.
+/// An in-flight PIM job: phase A (stream-in + local sorts) then phase B
+/// (rank-level merge + write-back) as a phase machine that can pause at
+/// an arbitrary DPU cycle and serialize. A job with no streams finishes
+/// immediately with empty output and zero iterations, matching the MeNDA
+/// PU's empty-work accounting.
 ///
 /// Everything that is a pure function of the job and the configuration —
 /// the decoded stream elements, the 1D partitioning, the per-DPU compute
@@ -380,8 +360,8 @@ impl PimPhase {
 /// progress, arrival times, per-phase statistics, clock anchors) is
 /// serialized.
 ///
-/// Public only to serve as [`ResumableBackend::Run`] for [`PimBackend`];
-/// drive it through the [`crate::Engine`] checkpoint entry points.
+/// Public only to serve as [`AcceleratorBackend::Run`] for
+/// [`PimBackend`]; drive it through the [`crate::Engine`].
 #[derive(Debug)]
 pub struct PimRun {
     // ---- derived from the job at construction and restore ----
@@ -682,8 +662,10 @@ impl PimRun {
         }
     }
 
-    /// Consumes a finished run and produces the rank result.
-    pub(crate) fn finish(self, unit: &PimUnit) -> PimRankResult {
+    /// Consumes a finished run and produces the rank result: iteration 0
+    /// of its statistics is phase A (stream-in + local sort), iteration 1
+    /// phase B (rank merge + write-back).
+    pub(crate) fn finish(self, unit: &PimUnit) -> PuResult {
         debug_assert!(self.phase == PimPhase::Done, "finish on an unfinished run");
         let mut stats = PuStats::default();
         if !self.trivial {
@@ -692,7 +674,7 @@ impl PimRun {
         }
         stats.dram = unit.mem.stats();
         let (majors, minors, values) = self.merged;
-        PimRankResult {
+        PuResult {
             majors,
             minors,
             values,
@@ -890,47 +872,6 @@ fn advance_to_until(unit: &mut PimUnit, target: u64, pause_abs: Option<u64>) -> 
     stop >= target
 }
 
-impl ResumableBackend for PimBackend {
-    type Run = PimRun;
-
-    fn start_job(&self, unit: &PimUnit, job: PuJob) -> PimRun {
-        PimRun::new(unit, job)
-    }
-
-    fn advance(&self, unit: &mut PimUnit, run: &mut PimRun, pause_at: Option<u64>) -> bool {
-        run.run_until(unit, pause_at)
-    }
-
-    fn finish_run(&self, unit: &PimUnit, run: PimRun) -> PuResult {
-        run.finish(unit).into()
-    }
-
-    fn tracing_active(&self, unit: &PimUnit) -> bool {
-        unit.traced
-    }
-
-    fn save_unit(&self, unit: &PimUnit, enc: &mut Encoder) {
-        unit.save_unit_state(enc);
-    }
-
-    fn restore_unit(&self, unit: &mut PimUnit, dec: &mut Decoder<'_>) -> Result<(), SnapError> {
-        unit.restore_unit_state(dec)
-    }
-
-    fn save_run(&self, run: &PimRun, enc: &mut Encoder) {
-        run.save_state(enc);
-    }
-
-    fn restore_run(
-        &self,
-        unit: &PimUnit,
-        job: PuJob,
-        dec: &mut Decoder<'_>,
-    ) -> Result<PimRun, SnapError> {
-        PimRun::restore_state(unit, job, dec)
-    }
-}
-
 /// Ceiling of log2 for `n >= 1`.
 fn ceil_log2(n: u64) -> u64 {
     (64 - (n - 1).leading_zeros() as u64).max(1) * u64::from(n > 1)
@@ -1065,9 +1006,11 @@ mod tests {
     use crate::job::transpose_job;
     use menda_sparse::gen;
 
-    fn pim_transpose(cfg: &MendaConfig, m: &menda_sparse::CsrMatrix) -> PimRankResult {
+    fn pim_transpose(cfg: &MendaConfig, m: &menda_sparse::CsrMatrix) -> PuResult {
         let mut unit = PimUnit::new(cfg);
-        unit.execute_job(transpose_job(m.clone(), 0))
+        let mut run = PimRun::new(&unit, transpose_job(m.clone(), 0));
+        assert!(run.run_until(&mut unit, None));
+        run.finish(&unit)
     }
 
     #[test]

@@ -359,7 +359,7 @@ impl PrefetchBuffer {
     /// Advances stream bookkeeping and, following the §3.4 policy, plans
     /// the chunk whose loads should be issued now, if any. `avail_slots`
     /// is the number of read-queue slots the caller can offer: a chunk
-    /// needing more is reported as [`FetchPlan::Blocked`] *without* being
+    /// needing more is reported as `FetchPlan::Blocked` *without* being
     /// committed (and without even materializing its block list — this
     /// sits on the per-cycle path of every buffer, and queue pressure
     /// makes discarded plans common).
@@ -457,7 +457,7 @@ impl PrefetchBuffer {
     }
 
     /// Block addresses the in-flight chunk is waiting on; empty when no
-    /// chunk is pending. Right after [`FetchPlan::Planned`] this is the
+    /// chunk is pending. Right after `FetchPlan::Planned` this is the
     /// full load list the caller must enqueue.
     pub fn pending_blocks(&self) -> &[u64] {
         self.pending.as_ref().map_or(&[], |p| &p.awaiting)

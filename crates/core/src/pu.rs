@@ -150,28 +150,10 @@ pub enum OutputMode {
 /// Emitted output of one iteration: `(minor keys, major keys, values)`.
 pub type EmittedTriples = (Vec<u32>, Vec<u32>, Vec<f32>);
 
-/// Everything `run_rounds` needs for one iteration.
-#[derive(Debug)]
-pub struct IterationSetup<'a> {
-    /// Stream descriptors in assignment order.
-    pub descriptors: Vec<StreamDescriptor>,
-    /// Backing data.
-    pub source: IterSource<'a>,
-    /// Pointer-read gating, if the controller must read pointers first.
-    pub gate: Option<PtrGate>,
-    /// Output mode.
-    pub out: OutputMode,
-    /// Merge packets with equal (major, minor) keys at the root — the
-    /// reduction unit of §3.6. For SpMV the minor key is constant 0, so
-    /// this reduces equal row indices; for the SpGEMM extension it reduces
-    /// equal (row, column) pairs.
-    pub reduce: bool,
-}
-
 /// Borrowed view of one iteration's inputs, shared by every step of
-/// [`ProcessingUnit::iter_loop`]. Unlike [`IterationSetup`] it borrows the
-/// descriptor slice, so the checkpointable job runner can keep descriptors
-/// alive across pause/resume without cloning per call.
+/// [`ProcessingUnit::iter_loop`]. It borrows the descriptor slice, so the
+/// job runner keeps descriptors alive across pause/resume without cloning
+/// per call.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct IterParams<'a> {
     /// Stream descriptors in assignment order.
@@ -556,7 +538,7 @@ impl LeafSource for BufferPorts<'_> {
 /// Instrumentation state of one PU (see the `menda-trace` crate): a
 /// cycle-stamped tracer on track 0 plus occupancy histograms and counters
 /// maintained by purely observational hooks in
-/// [`ProcessingUnit::run_rounds`]. Built only when
+/// [`ProcessingUnit::iter_loop`]. Built only when
 /// [`MendaConfig::trace`] enables a sink, so untraced runs pay nothing.
 #[derive(Debug)]
 struct PuTraceState {
@@ -635,7 +617,7 @@ pub struct ProcessingUnit {
     dram_tick_accum: u64,
     next_req_id: u64,
     /// Event-driven fast-forwarding (see [`crate::config::SimOptions`]):
-    /// when set, `run_rounds` jumps over provably no-op cycle spans.
+    /// when set, `iter_loop` jumps over provably no-op cycle spans.
     /// Results are bit-identical either way.
     fast_forward: bool,
     /// Instrumentation state; `None` when tracing is off. Purely
@@ -693,27 +675,11 @@ impl ProcessingUnit {
         Some(report)
     }
 
-    /// The earliest future bus cycle at which this PU's rank can change
-    /// observable state (`None` when the rank is inert) — the same event
-    /// bound the fast-forward quiescence skip inside
-    /// [`ProcessingUnit::run_rounds`] jumps by, exposed for the
-    /// [`crate::backend::AcceleratorBackend`] seam.
-    pub fn next_event_cycle(&self) -> Option<u64> {
-        self.mem.next_event_cycle()
-    }
-
     /// The DRAM command stream of this PU's rank (empty unless
     /// `config.dram.log_commands` is set). Feed it to
     /// [`menda_dram::validate_trace`] to check protocol compliance.
     pub fn dram_command_log(&self) -> &[menda_dram::CommandRecord] {
         self.mem.command_log(0)
-    }
-
-    /// Whether this PU carries live instrumentation state. Checkpointing
-    /// is refused while tracing (the tracer's event stream is not
-    /// serializable), so the checkpoint layer probes this first.
-    pub(crate) fn tracing_active(&self) -> bool {
-        self.trace.is_some()
     }
 
     /// Serializes the PU-level dynamic state outside any iteration: the
@@ -740,39 +706,13 @@ impl ProcessingUnit {
     /// global row `row_offset`), returning the partition's nonzeros in
     /// CSC order (sorted by column, then global row) plus statistics.
     ///
-    /// Thin wrapper over the job layer: builds the transposition job
-    /// ([`crate::job::transpose_job`]) and executes it on this PU.
+    /// Builds the transposition job ([`crate::job::transpose_job`]) and
+    /// runs it to completion on this PU.
     pub fn transpose(&mut self, part: &CsrMatrix, row_offset: usize) -> PuResult {
-        crate::job::execute(self, crate::job::transpose_job(part.clone(), row_offset))
-    }
-
-    /// Runs all merge rounds of one iteration, cycle by cycle. Returns the
-    /// emitted `(minors, majors, values)`, the run boundaries (prefix
-    /// lengths at each root EOL) and the iteration statistics.
-    ///
-    /// Thin wrapper over [`ProcessingUnit::iter_loop`]: builds a fresh
-    /// [`IterState`], runs it to completion with no pause target, and
-    /// finalizes. The checkpointable job runner drives the same loop with
-    /// a pause cycle instead.
-    pub fn run_rounds(
-        &mut self,
-        setup: IterationSetup<'_>,
-    ) -> (EmittedTriples, Vec<usize>, IterationStats) {
-        let p = IterParams {
-            descriptors: &setup.descriptors,
-            source: setup.source,
-            gate: setup.gate.as_ref(),
-            out: setup.out,
-            reduce: setup.reduce,
-        };
-        let mut st = IterState::new(self, &p);
-        if st.trivially_done {
-            return ((Vec::new(), Vec::new(), Vec::new()), Vec::new(), st.it);
-        }
-        self.begin_iteration_trace();
-        let done = self.iter_loop(&p, &mut st, None);
-        debug_assert!(done, "unbounded iter_loop must run to completion");
-        self.finish_iteration(st)
+        let job = crate::job::transpose_job(part.clone(), row_offset);
+        let mut run = crate::job::JobRun::new(self.pu_cfg.leaves as u64, job);
+        run.run_until(self, None);
+        run.finish(self)
     }
 
     /// Opens the `pu.iteration` trace span for an iteration about to run
@@ -1424,7 +1364,7 @@ impl ProcessingUnit {
 }
 
 /// First set bit at index `>= from` across the `u128` words, if any.
-/// Backs the parked-buffer walk of `run_rounds` step 4.
+/// Backs the parked-buffer walk of `iter_loop` step 4.
 fn next_set_bit(words: &[u128], from: usize) -> Option<usize> {
     let mut wi = from >> 7;
     if wi >= words.len() {

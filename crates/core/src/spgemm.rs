@@ -22,7 +22,6 @@
 use menda_sparse::partition::RowPartition;
 use menda_sparse::CsrMatrix;
 
-use crate::backend::{AcceleratorBackend, BackendKind, MendaBackend};
 use crate::config::MendaConfig;
 use crate::engine::{Engine, KernelSpec};
 use crate::job::{FinalOutput, IntermediateFormat, JobSource, PuJob};
@@ -94,27 +93,10 @@ pub fn spgemm_golden(a: &CsrMatrix, b: &CsrMatrix) -> CsrMatrix {
 ///
 /// Panics if the inner dimensions disagree.
 pub fn run(config: &MendaConfig, a: &CsrMatrix, b: &CsrMatrix) -> SpgemmResult {
-    run_on(config, a, b, MendaBackend)
+    Engine::new(config).run(&make_spec(a, b, config))
 }
 
-/// [`run`] on an arbitrary [`AcceleratorBackend`]. As with SpMV, output
-/// values match the MeNDA backend to floating-point tolerance (reduction
-/// order is backend-specific).
-///
-/// # Panics
-///
-/// Panics if the inner dimensions disagree.
-pub fn run_on<B: AcceleratorBackend>(
-    config: &MendaConfig,
-    a: &CsrMatrix,
-    b: &CsrMatrix,
-    backend: B,
-) -> SpgemmResult {
-    let spec = make_spec(a, b, config, backend.frequency_mhz(config));
-    Engine::with_backend(config, backend).run(&spec)
-}
-
-/// Builds the engine spec [`run_on`] executes, for callers that need the
+/// Builds the engine spec [`run`] executes, for callers that need the
 /// [`KernelSpec`] itself (the job run path in [`crate::jobspec`]). The
 /// multiply phase is host-modeled and deterministic, so it is recomputed
 /// rather than checkpointed.
@@ -122,7 +104,6 @@ pub(crate) fn make_spec<'m>(
     a: &'m CsrMatrix,
     b: &'m CsrMatrix,
     config: &MendaConfig,
-    frequency_mhz: u64,
 ) -> SpgemmSpec<'m> {
     assert_eq!(a.ncols(), b.nrows(), "inner dimensions must agree");
     config.pu.validate();
@@ -133,25 +114,7 @@ pub(crate) fn make_spec<'m>(
     let phases: Vec<MultiplyPhase> = (0..pus)
         .map(|p| multiply_phase(a, b, &partition, p))
         .collect();
-    SpgemmSpec {
-        a,
-        b,
-        phases,
-        frequency_mhz,
-    }
-}
-
-/// Runtime-selected backend variant of [`run`].
-pub fn run_with_backend(
-    config: &MendaConfig,
-    a: &CsrMatrix,
-    b: &CsrMatrix,
-    kind: BackendKind,
-) -> SpgemmResult {
-    match kind {
-        BackendKind::Menda => run_on(config, a, b, MendaBackend),
-        BackendKind::Pim => run_on(config, a, b, crate::pim::PimBackend),
-    }
+    SpgemmSpec { a, b, phases }
 }
 
 /// One PU's modeled multiply phase: partial-product runs sorted by
@@ -224,7 +187,6 @@ pub(crate) struct SpgemmSpec<'m> {
     a: &'m CsrMatrix,
     b: &'m CsrMatrix,
     phases: Vec<MultiplyPhase>,
-    frequency_mhz: u64,
 }
 
 impl KernelSpec for SpgemmSpec<'_> {
@@ -280,7 +242,7 @@ impl KernelSpec for SpgemmSpec<'_> {
         let partials_total: u64 = self.phases.iter().map(|ph| ph.majors.len() as u64).sum();
         let multiply_cycles = self.phases.iter().map(|ph| ph.cycles).max().unwrap_or(0);
         let merge_cycles = run.cycles;
-        let seconds = (merge_cycles + multiply_cycles) as f64 / (self.frequency_mhz as f64 * 1e6);
+        let seconds = (merge_cycles + multiply_cycles) as f64 / (run.frequency_mhz as f64 * 1e6);
         SpgemmResult {
             compression: if c.nnz() > 0 {
                 partials_total as f64 / c.nnz() as f64

@@ -21,9 +21,9 @@
 use menda_sparse::partition::RowPartition;
 use menda_sparse::CsrMatrix;
 
-use crate::backend::{AcceleratorBackend, BackendKind, MendaBackend};
+use crate::backend::BackendKind;
 use crate::config::MendaConfig;
-use crate::engine::{Engine, KernelSpec};
+use crate::engine::{run_kind, KernelSpec};
 use crate::job::{FinalOutput, IntermediateFormat, JobSource, PuJob};
 use crate::layout::{AddressLayout, BLOCK_BYTES, PTR_BYTES};
 use crate::prefetch::{StreamDescriptor, StreamKind};
@@ -103,30 +103,29 @@ pub fn run_with_options(
     x: &[f32],
     options: SpmvOptions,
 ) -> SpmvResult {
-    run_on(config, a, x, options, MendaBackend)
+    run_with_backend(config, a, x, options, BackendKind::Menda)
 }
 
-/// [`run_with_options`] on an arbitrary [`AcceleratorBackend`]. Output
-/// values match the MeNDA backend to floating-point tolerance (reduction
-/// order is backend-specific), not bit for bit.
+/// [`run_with_options`] on the backend `kind` names. Output values match
+/// the MeNDA backend to floating-point tolerance (reduction order is
+/// backend-specific), not bit for bit.
 ///
 /// # Panics
 ///
 /// Panics if `x.len() != a.ncols()`.
-pub fn run_on<B: AcceleratorBackend>(
+pub fn run_with_backend(
     config: &MendaConfig,
     a: &CsrMatrix,
     x: &[f32],
     options: SpmvOptions,
-    backend: B,
+    kind: BackendKind,
 ) -> SpmvResult {
-    assert_eq!(x.len(), a.ncols(), "vector length must equal ncols");
-    let spec = make_spec(a, x, options, config.num_pus());
-    Engine::with_backend(config, backend).run(&spec)
+    run_kind(config, kind, &make_spec(a, x, options, config.num_pus()))
 }
 
-/// Builds the engine spec [`run_on`] executes, for callers that need the
-/// [`KernelSpec`] itself (the job run path in [`crate::jobspec`]).
+/// Builds the engine spec [`run_with_backend`] executes, for callers that
+/// need the [`KernelSpec`] itself (the job run path in
+/// [`crate::jobspec`]).
 pub(crate) fn make_spec<'m>(
     a: &'m CsrMatrix,
     x: &'m [f32],
@@ -139,20 +138,6 @@ pub(crate) fn make_spec<'m>(
         x,
         partition: RowPartition::by_nnz(a, pus),
         options,
-    }
-}
-
-/// Runtime-selected backend variant of [`run_with_options`].
-pub fn run_with_backend(
-    config: &MendaConfig,
-    a: &CsrMatrix,
-    x: &[f32],
-    options: SpmvOptions,
-    kind: BackendKind,
-) -> SpmvResult {
-    match kind {
-        BackendKind::Menda => run_on(config, a, x, options, MendaBackend),
-        BackendKind::Pim => run_on(config, a, x, options, crate::pim::PimBackend),
     }
 }
 

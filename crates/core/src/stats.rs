@@ -120,6 +120,8 @@ pub struct RunStats {
     pub cycles: u64,
     /// Execution time in seconds at the backend's device clock.
     pub seconds: f64,
+    /// The backend's device clock in MHz, which `seconds` is based on.
+    pub frequency_mhz: u64,
     /// The accelerator backend that produced these statistics (see
     /// [`crate::backend::AcceleratorBackend::name`]; `"menda"` for the
     /// default merge-tree PU).
@@ -160,6 +162,7 @@ impl RunStats {
         Self {
             cycles,
             seconds,
+            frequency_mhz,
             backend: "menda",
             pu_stats,
             trace: None,

@@ -5,10 +5,10 @@
 use menda_sparse::partition::RowPartition;
 use menda_sparse::{CscMatrix, CsrMatrix};
 
-use crate::backend::{AcceleratorBackend, BackendKind, MendaBackend, ResumableBackend};
-use crate::checkpoint::{SnapshotError, SnapshotOutcome};
+use crate::backend::BackendKind;
+use crate::checkpoint::{SnapshotError, SnapshotOutcome, ToCycle};
 use crate::config::MendaConfig;
-use crate::engine::{Engine, KernelSpec};
+use crate::engine::{dispatch, run_kind, KernelSpec};
 use crate::job::{self, PuJob};
 use crate::pu::PuResult;
 use crate::stats::{PuStats, RunStats};
@@ -96,129 +96,39 @@ impl MendaSystem {
     /// runs each PU's multi-iteration merge (§3.1) on its own rank via the
     /// execution engine, and assembles the global CSC output.
     pub fn transpose(&mut self, matrix: &CsrMatrix) -> TransposeResult {
-        self.transpose_on(matrix, MendaBackend)
+        self.transpose_with(matrix, BackendKind::Menda)
     }
 
-    /// Like [`MendaSystem::transpose`] but simulating `backend` beside
-    /// each rank in place of the MeNDA PU. Transposition keys are unique,
-    /// so the assembled output is bit-identical across backends; only the
-    /// timing and traffic statistics differ.
-    pub fn transpose_on<B: AcceleratorBackend>(
-        &mut self,
-        matrix: &CsrMatrix,
-        backend: B,
-    ) -> TransposeResult {
-        let spec = TransposeSpec {
-            matrix,
-            partition: RowPartition::by_nnz(matrix, self.config.num_pus()),
-        };
-        Engine::with_backend(&self.config, backend).run(&spec)
-    }
-
-    /// Runtime-selected backend variant of [`MendaSystem::transpose`],
-    /// for drivers that pick the accelerator from a flag.
+    /// Like [`MendaSystem::transpose`] but simulating the backend `kind`
+    /// names beside each rank. Transposition keys are unique, so the
+    /// assembled output is bit-identical across backends; only the timing
+    /// and traffic statistics differ.
     pub fn transpose_with(&mut self, matrix: &CsrMatrix, kind: BackendKind) -> TransposeResult {
-        match kind {
-            BackendKind::Menda => self.transpose_on(matrix, MendaBackend),
-            BackendKind::Pim => self.transpose_on(matrix, crate::pim::PimBackend),
-        }
+        run_kind(&self.config, kind, &self.spec(matrix))
     }
 
-    /// Checkpoint-capable variant of [`MendaSystem::transpose`]: runs
+    /// Checkpoint-capable transposition on the backend `kind` names (see
+    /// [`crate::checkpoint`]): starts fresh, or restores `resume` — a
+    /// snapshot of the same matrix, backend and configuration — and runs
     /// until every PU finishes or reaches device cycle `pause_at`,
-    /// capturing a restorable snapshot in the latter case (see
-    /// [`crate::checkpoint`]).
+    /// capturing a restorable snapshot in the latter case. `None` never
+    /// pauses. A finished run is bit-identical to the uninterrupted one.
     ///
     /// # Errors
     ///
-    /// [`SnapshotError::TracingActive`] when instrumentation is enabled.
+    /// Any [`SnapshotError`] describing why `resume` does not match this
+    /// system and matrix or cannot be decoded, and
+    /// [`SnapshotError::TracingActive`] when instrumentation is enabled
+    /// and a snapshot would be read or written.
     pub fn transpose_to_cycle(
         &mut self,
         matrix: &CsrMatrix,
-        pause_at: u64,
+        kind: BackendKind,
+        resume: Option<&[u8]>,
+        pause_at: Option<u64>,
     ) -> Result<SnapshotOutcome<TransposeResult>, SnapshotError> {
-        self.transpose_to_cycle_on(matrix, MendaBackend, pause_at)
-    }
-
-    /// Restores a snapshot from [`MendaSystem::transpose_to_cycle`] and
-    /// runs the transposition to completion — bit-identical to the
-    /// uninterrupted run.
-    ///
-    /// # Errors
-    ///
-    /// Any [`SnapshotError`] describing why the snapshot does not match
-    /// this system/matrix or cannot be decoded.
-    pub fn resume_transpose(
-        &mut self,
-        matrix: &CsrMatrix,
-        snapshot: &[u8],
-    ) -> Result<TransposeResult, SnapshotError> {
-        self.resume_transpose_on(matrix, MendaBackend, snapshot)
-    }
-
-    /// [`MendaSystem::transpose_to_cycle`] on an arbitrary resumable
-    /// backend.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`MendaSystem::transpose_to_cycle`].
-    pub fn transpose_to_cycle_on<B: ResumableBackend>(
-        &mut self,
-        matrix: &CsrMatrix,
-        backend: B,
-        pause_at: u64,
-    ) -> Result<SnapshotOutcome<TransposeResult>, SnapshotError> {
-        let spec = self.spec(matrix);
-        Engine::with_backend(&self.config, backend).run_to_cycle(&spec, pause_at)
-    }
-
-    /// [`MendaSystem::resume_transpose`] on an arbitrary resumable
-    /// backend.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`MendaSystem::resume_transpose`].
-    pub fn resume_transpose_on<B: ResumableBackend>(
-        &mut self,
-        matrix: &CsrMatrix,
-        backend: B,
-        snapshot: &[u8],
-    ) -> Result<TransposeResult, SnapshotError> {
-        let spec = self.spec(matrix);
-        Engine::with_backend(&self.config, backend).resume(&spec, snapshot)
-    }
-
-    /// Restores a snapshot and runs until completion or device cycle
-    /// `pause_at`, whichever comes first — the chaining primitive for
-    /// building ever-deeper snapshots of the same run.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`MendaSystem::resume_transpose`].
-    pub fn resume_transpose_to_cycle(
-        &mut self,
-        matrix: &CsrMatrix,
-        snapshot: &[u8],
-        pause_at: u64,
-    ) -> Result<SnapshotOutcome<TransposeResult>, SnapshotError> {
-        self.resume_transpose_to_cycle_on(matrix, MendaBackend, snapshot, pause_at)
-    }
-
-    /// [`MendaSystem::resume_transpose_to_cycle`] on an arbitrary
-    /// resumable backend.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`MendaSystem::resume_transpose`].
-    pub fn resume_transpose_to_cycle_on<B: ResumableBackend>(
-        &mut self,
-        matrix: &CsrMatrix,
-        backend: B,
-        snapshot: &[u8],
-        pause_at: u64,
-    ) -> Result<SnapshotOutcome<TransposeResult>, SnapshotError> {
-        let spec = self.spec(matrix);
-        Engine::with_backend(&self.config, backend).resume_to_cycle(&spec, snapshot, pause_at)
+        let mut drive = ToCycle { resume, pause_at };
+        dispatch(&self.config, kind, &self.spec(matrix), &mut drive).map(Into::into)
     }
 
     fn spec<'m>(&self, matrix: &'m CsrMatrix) -> TransposeSpec<'m> {

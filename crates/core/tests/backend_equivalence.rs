@@ -62,7 +62,7 @@ fn config(pus: usize, threads: usize, fast: bool) -> MendaConfig {
 }
 
 /// Serial and threaded engine runs are bit-identical for every backend —
-/// the cross-backend determinism property: `execute_job` must be a pure
+/// the cross-backend determinism property: a unit's result must be a pure
 /// function of (config, job) regardless of which worker thread runs it.
 #[test]
 fn serial_vs_threaded_is_bit_identical_for_every_backend() {

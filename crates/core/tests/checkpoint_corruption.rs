@@ -20,7 +20,7 @@
 //! "typed error or a clean completed run" — nothing in between.
 
 use menda_core::{
-    JobSpec, MatrixSource, MendaConfig, MendaSystem, PimBackend, SnapshotError, SNAPSHOT_MAGIC,
+    BackendKind, JobSpec, MatrixSource, MendaConfig, MendaSystem, SnapshotError, SNAPSHOT_MAGIC,
 };
 use menda_dram::fnv1a;
 use menda_sparse::gen;
@@ -59,7 +59,7 @@ fn fuzz_positions(len: usize, samples: usize, rng: &mut StdRng) -> Vec<usize> {
 /// A valid paused snapshot of `m`'s transposition under `cfg`.
 fn valid_snapshot(m: &CsrMatrix, cfg: &MendaConfig) -> Vec<u8> {
     MendaSystem::new(cfg.clone())
-        .transpose_to_cycle(m, 400)
+        .transpose_to_cycle(m, BackendKind::Menda, None, Some(400))
         .expect("pause")
         .snapshot()
         .expect("run must pause at cycle 400")
@@ -75,8 +75,9 @@ fn refresh_checksum(bytes: &mut [u8]) {
 
 fn resume(m: &CsrMatrix, cfg: &MendaConfig, bytes: &[u8]) -> Result<(), SnapshotError> {
     MendaSystem::new(cfg.clone())
-        .resume_transpose(m, bytes)
-        .map(|result| {
+        .transpose_to_cycle(m, BackendKind::Menda, Some(bytes), None)
+        .map(|outcome| {
+            let result = outcome.finished().expect("no pause target");
             // If hostile bytes do restore (forged checksum that decodes
             // cleanly), the run must still complete to a full result —
             // no partial state, no torn output.
@@ -187,7 +188,9 @@ fn forged_checksum_corruption_never_panics() {
         let cfg2 = cfg.clone();
         std::thread::spawn(move || {
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                MendaSystem::new(cfg2).resume_transpose(&m2, &bad).map(drop)
+                MendaSystem::new(cfg2)
+                    .transpose_to_cycle(&m2, BackendKind::Menda, Some(&bad), None)
+                    .map(drop)
             }));
             let _ = tx.send(outcome);
         });
@@ -245,7 +248,7 @@ fn config_fingerprint_mismatch_is_rejected() {
     for other in [more_leaves, slower_dram, other_topology] {
         assert_eq!(
             MendaSystem::new(other)
-                .resume_transpose(&m, &snapshot)
+                .transpose_to_cycle(&m, BackendKind::Menda, Some(&snapshot), None)
                 .map(drop),
             Err(SnapshotError::ConfigMismatch)
         );
@@ -253,7 +256,7 @@ fn config_fingerprint_mismatch_is_rejected() {
     // Fingerprint-neutral host knobs still restore.
     let host_knobs = base.clone().with_threads(4).with_fast_forward(false);
     assert!(MendaSystem::new(host_knobs)
-        .resume_transpose(&m, &snapshot)
+        .transpose_to_cycle(&m, BackendKind::Menda, Some(&snapshot), None)
         .is_ok());
 }
 
@@ -266,19 +269,19 @@ fn backend_mismatch_is_rejected() {
     let menda_snapshot = valid_snapshot(&m, &cfg);
     assert_eq!(
         MendaSystem::new(cfg.clone())
-            .resume_transpose_on(&m, PimBackend, &menda_snapshot)
+            .transpose_to_cycle(&m, BackendKind::Pim, Some(&menda_snapshot), None)
             .map(drop),
         Err(SnapshotError::BackendMismatch)
     );
 
     let pim_snapshot = MendaSystem::new(cfg.clone())
-        .transpose_to_cycle_on(&m, PimBackend, 400)
+        .transpose_to_cycle(&m, BackendKind::Pim, None, Some(400))
         .expect("pause")
         .snapshot()
         .expect("pim run must pause at cycle 400");
     assert_eq!(
         MendaSystem::new(cfg.clone())
-            .resume_transpose(&m, &pim_snapshot)
+            .transpose_to_cycle(&m, BackendKind::Menda, Some(&pim_snapshot), None)
             .map(drop),
         Err(SnapshotError::BackendMismatch)
     );

@@ -29,7 +29,7 @@
 
 use menda_core::{
     transpose_job, AcceleratorBackend, BackendKind, JobKernel, JobProgress, JobSpec, MatrixSource,
-    MendaBackend, MendaConfig, MendaSystem, PimBackend, ResumableBackend, TransposeResult,
+    MendaBackend, MendaConfig, MendaSystem, PimBackend, TransposeResult,
 };
 use menda_sparse::gen;
 use menda_sparse::partition::RowPartition;
@@ -41,14 +41,28 @@ type TransposeSpec<'m> = menda_core::TransposeSpec<'m>;
 
 /// Runs `f` with the live protocol checker forced on (equivalent to
 /// `MENDA_CHECK_PROTOCOL=1`), restoring environment-driven behaviour
-/// afterwards even if `f` panics.
+/// once the last concurrent caller is done, even if `f` panics. The
+/// default is process-wide and tests run in parallel, so an early
+/// restore would switch the checker off under another test — and change
+/// the configuration fingerprint between a job's pause and its resume.
 fn with_checker<R>(f: impl FnOnce() -> R) -> R {
+    static ACTIVE: std::sync::Mutex<usize> = std::sync::Mutex::new(0);
+    fn active() -> std::sync::MutexGuard<'static, usize> {
+        ACTIVE
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
     struct Reset;
     impl Drop for Reset {
         fn drop(&mut self) {
-            menda_dram::set_check_protocol_default(None);
+            let mut n = active();
+            *n -= 1;
+            if *n == 0 {
+                menda_dram::set_check_protocol_default(None);
+            }
         }
     }
+    *active() += 1;
     menda_dram::set_check_protocol_default(Some(true));
     let _reset = Reset;
     f()
@@ -82,7 +96,7 @@ fn assert_identical(direct: &TransposeResult, resumed: &TransposeResult, what: &
 /// under `cfg_resume`, and assert the completed run is bit-identical to
 /// `direct`. Quietly verifies completion instead when the run finishes
 /// before the pause target.
-fn pause_restore_check<B: ResumableBackend + Copy>(
+fn pause_restore_check<B: AcceleratorBackend + Copy>(
     backend: B,
     m: &CsrMatrix,
     cfg_pause: &MendaConfig,
@@ -178,7 +192,7 @@ fn pim_restores_anywhere_on_both_paths() {
         let m = gen::rmat(96, 768, gen::RmatParams::PAPER, 43);
         for fast in [false, true] {
             let cfg = config(1, fast);
-            let direct = MendaSystem::new(cfg.clone()).transpose_on(&m, PimBackend);
+            let direct = MendaSystem::new(cfg.clone()).transpose_with(&m, BackendKind::Pim);
             assert_eq!(direct.output, m.to_csc(), "direct run wrong");
             for pause_at in adversarial_cycles(&cfg, direct.cycles) {
                 pause_restore_check(
@@ -227,7 +241,7 @@ fn snapshots_cross_restore_between_ref_and_ff() {
             );
         }
         // The PIM backend cross-restores too, against its own timing.
-        let pim_direct = MendaSystem::new(cfg_ref.clone()).transpose_on(&m, PimBackend);
+        let pim_direct = MendaSystem::new(cfg_ref.clone()).transpose_with(&m, BackendKind::Pim);
         for pause_at in [1, 333, pim_direct.cycles / 2] {
             pause_restore_check(
                 PimBackend,
@@ -300,14 +314,14 @@ fn chained_pause_hops_match_straight_run() {
             } else {
                 // The PIM backend has its own timing; compare against its
                 // own straight-through run instead.
-                let pim_direct = MendaSystem::new(cfg.clone()).transpose_on(&m, PimBackend);
+                let pim_direct = MendaSystem::new(cfg.clone()).transpose_with(&m, BackendKind::Pim);
                 assert_identical(&pim_direct, &resumed, "chained hops (pim)");
             }
         }
     });
 }
 
-fn chained_hops<B: ResumableBackend + Copy>(
+fn chained_hops<B: AcceleratorBackend + Copy>(
     backend: B,
     m: &CsrMatrix,
     cfg: &MendaConfig,
@@ -353,7 +367,7 @@ fn zero_progress_hop_returns_identical_snapshot() {
     });
 }
 
-fn zero_progress_hops<B: ResumableBackend + Copy>(
+fn zero_progress_hops<B: AcceleratorBackend + Copy>(
     backend: B,
     m: &CsrMatrix,
     cfg: &MendaConfig,
@@ -387,7 +401,7 @@ fn zero_progress_hops<B: ResumableBackend + Copy>(
 /// The strongest signal: the *DRAM command log* — every ACT/PRE/RD/WR/REF
 /// with its issue cycle and full coordinates — is identical entry for
 /// entry across a pause/restore round trip. Driven at the unit level
-/// through the public `ResumableBackend` seam (the engine does not
+/// through the public `AcceleratorBackend` seam (the engine does not
 /// expose per-rank logs).
 #[test]
 fn dram_command_logs_survive_restore_bit_identically() {
@@ -498,7 +512,7 @@ fn xoshiro_fuzzed_pause_cycles_restore_bit_identically() {
         for fast in [false, true] {
             let cfg = config(1, fast);
             let menda_direct = MendaSystem::new(cfg.clone()).transpose(&m);
-            let pim_direct = MendaSystem::new(cfg.clone()).transpose_on(&m, PimBackend);
+            let pim_direct = MendaSystem::new(cfg.clone()).transpose_with(&m, BackendKind::Pim);
             for _ in 0..FUZZ_PER_COMBO {
                 let k = rng.random_range(1..menda_direct.cycles as usize) as u64;
                 pause_restore_check(

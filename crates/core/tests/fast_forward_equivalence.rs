@@ -12,7 +12,7 @@
 
 use menda_core::{
     spmv, transpose_job, AcceleratorBackend, MendaBackend, MendaConfig, MendaSystem, PimBackend,
-    ResumableBackend, TraceConfig, TransposeResult,
+    TraceConfig, TransposeResult,
 };
 use menda_dram::RowPolicy;
 use menda_sparse::gen;

@@ -608,10 +608,10 @@ impl ChannelController {
 
     /// Jumps directly to bus cycle `target` without simulating the
     /// intermediate cycles, which the caller guarantees (via
-    /// [`Self::next_active_event_cycle`]) are controller no-ops: no
+    /// `next_active_event_cycle`) are controller no-ops: no
     /// command can issue, no refresh bookkeeping runs. Responses *may*
     /// mature inside the span — maturation is passive (see
-    /// [`Self::next_active_event_cycle`]). Skipped cycles are
+    /// `next_active_event_cycle`). Skipped cycles are
     /// bulk-accounted into the stats and the trace samples the per-cycle
     /// path would have produced are emitted at each sampling interval;
     /// the liveness check runs once at the target (equivalent for clean
@@ -638,7 +638,7 @@ impl ChannelController {
     /// responses, trace) is bit-identical to calling [`Self::tick`]
     /// `end - now` times.
     ///
-    /// The skip bound is the cached [`Self::next_active_event_cycle`]
+    /// The skip bound is the cached `next_active_event_cycle`
     /// (see [`Self::event_bound`'s field docs]): across the one-or-two
     /// tick spans the PU model advances per PU cycle, the cache makes the
     /// common "nothing can happen yet" case O(1) instead of a scan over

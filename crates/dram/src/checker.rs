@@ -5,7 +5,7 @@
 //! offline (from [`crate::ChannelController::command_log`]) — and
 //! re-derives every JEDEC constraint from scratch with its own shadow
 //! state. It deliberately shares **no** code with the controller's
-//! "earliest-allowed" bookkeeping in [`crate::Bank`]/[`crate::bank`]: the
+//! "earliest-allowed" bookkeeping in [`crate::Bank`] (`bank.rs`): the
 //! controller decides issuability from the same state its debug asserts
 //! check, so a forgotten constraint there is self-certifying. The checker
 //! exists to break that circularity.

@@ -34,4 +34,4 @@ pub mod server;
 
 pub use loadgen::{LoadgenOptions, LoadgenReport};
 pub use protocol::{RejectReason, Request, Response, StatusSnapshot, MAX_LINE_BYTES};
-pub use server::{execute_preemptible, ServerConfig, ServerHandle};
+pub use server::{ServerConfig, ServerHandle};

@@ -10,7 +10,8 @@
 //!        bounded FIFO queue ──▶ rejected{queue_full} when at capacity
 //!                │ pop
 //!                ▼
-//!        worker pool (N threads) — JobSpec::execute, panics caught
+//!        worker pool (N threads) — JobSpec::execute (or, with a
+//!        preemption quantum, JobSpec::execute_in_quanta), panics caught
 //!                │ per-connection mpsc
 //!                ▼
 //!        writer thread per connection ──▶ client (one write per line,
@@ -20,20 +21,20 @@
 //! Robustness rules:
 //!
 //! * **No untrusted panic paths.** Requests are parsed and validated by
-//!   the non-panicking [`JobSpec`](menda_core::JobSpec) path; the
-//!   execution itself runs under `catch_unwind` so even a simulator bug
-//!   fails one job, not the daemon.
+//!   the non-panicking [`JobSpec`] path; the execution itself runs under
+//!   `catch_unwind` so even a simulator bug fails one job, not the
+//!   daemon.
 //! * **Backpressure is explicit.** A full queue answers
 //!   `rejected{queue_full}` immediately; clients retry. Nothing blocks
 //!   the reader thread on queue space.
 //! * **Deadlines are enforced at dispatch, between quanta and at
 //!   completion.** A job whose deadline expired while queued is failed
 //!   without running. With [`ServerConfig::preemption_quantum`] set, the
-//!   worker checks the deadline at every quantum boundary and stops an
-//!   overdue job there, naming the cycle it stopped at. A job that
-//!   finishes past its deadline is reported `deadline_exceeded` and its
-//!   result discarded; without a quantum (or with counting
-//!   instrumentation) that is the only check a running job gets.
+//!   worker runs every job in quanta, traced ones included, checks the
+//!   deadline at every quantum boundary and stops an overdue job there,
+//!   naming the cycle it stopped at. A job that finishes past its
+//!   deadline is reported `deadline_exceeded` and its result discarded;
+//!   without a quantum that is the only check a running job gets.
 //! * **Cancellation is queue-level.** `cancel` removes a queued job; a
 //!   running job is not cancelled and the cancel is rejected.
 //! * **Disconnects are absorbed.** If the submitting client is gone when
@@ -52,7 +53,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use menda_core::{JobError, JobSpec};
+use menda_core::JobSpec;
 
 use crate::protocol::{RejectReason, Request, Response, StatusSnapshot, MAX_LINE_BYTES};
 
@@ -68,14 +69,13 @@ pub struct ServerConfig {
     pub max_job_nnz: u64,
     /// Largest accepted `deadline_ms`.
     pub max_deadline_ms: u64,
-    /// When set, workers execute jobs in quanta of this many device
+    /// When set, workers execute every job in quanta of this many device
     /// cycles ([`JobSpec::execute_in_quanta`]) instead of one
     /// uninterrupted [`JobSpec::execute`]. The simulator state stays live
     /// in memory between quanta; each boundary is where the worker checks
-    /// the job's deadline and stops it if overdue. Outcomes are
-    /// byte-identical either way (the preemption suite asserts it). Jobs
-    /// with counting instrumentation fall back to uninterrupted execution
-    /// (the quantum loop refuses active tracing).
+    /// the job's deadline and stops it if overdue. Outcomes, trace event
+    /// counts included, are byte-identical either way (the preemption
+    /// suite asserts it).
     pub preemption_quantum: Option<u64>,
     /// Engine worker threads applied at admission to jobs that leave
     /// `threads` unset (`None` keeps the engine's own auto default).
@@ -315,11 +315,13 @@ fn acceptor_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     }
 }
 
-/// Reads one `\n`-terminated line with a hard length cap. Returns
-/// `Ok(None)` on EOF and `Err(())` when the line exceeds the cap (the
-/// oversized remainder is drained so the connection can continue).
-fn read_line_capped(reader: &mut BufReader<TcpStream>, buf: &mut String) -> Result<Option<()>, ()> {
-    buf.clear();
+/// Reads one `\n`-terminated line with a hard cap on its raw bytes.
+/// Returns `Ok(None)` on EOF and `Err(())` when the line exceeds the cap
+/// (the oversized remainder is drained so the connection can continue).
+/// The bytes are decoded once the line is complete, so a multi-byte
+/// character split across two reads survives intact.
+fn read_line_capped(reader: &mut impl BufRead) -> Result<Option<String>, ()> {
+    let mut bytes = Vec::new();
     let mut truncated = false;
     loop {
         let available = match reader.fill_buf() {
@@ -327,26 +329,27 @@ fn read_line_capped(reader: &mut BufReader<TcpStream>, buf: &mut String) -> Resu
             Err(_) => return Ok(None),
         };
         if available.is_empty() {
-            return if buf.is_empty() && !truncated {
-                Ok(None)
-            } else if truncated {
-                Err(())
-            } else {
-                Ok(Some(()))
-            };
+            if bytes.is_empty() && !truncated {
+                return Ok(None);
+            }
+            break;
         }
         let newline = available.iter().position(|&b| b == b'\n');
         let take = newline.map_or(available.len(), |i| i + 1);
-        if !truncated && buf.len() + take <= MAX_LINE_BYTES {
-            buf.push_str(&String::from_utf8_lossy(&available[..take]));
+        if !truncated && bytes.len() + take <= MAX_LINE_BYTES {
+            bytes.extend_from_slice(&available[..take]);
         } else {
             truncated = true;
         }
         reader.consume(take);
         if newline.is_some() {
-            return if truncated { Err(()) } else { Ok(Some(())) };
+            break;
         }
     }
+    if truncated {
+        return Err(());
+    }
+    Ok(Some(String::from_utf8_lossy(&bytes).into_owned()))
 }
 
 /// In-band close marker from reader to writer: never a valid JSON line,
@@ -383,9 +386,8 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>, addr: SocketAddr) 
         .expect("spawn writer");
 
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
     loop {
-        match read_line_capped(&mut reader, &mut line) {
+        let line = match read_line_capped(&mut reader) {
             Ok(None) => break,
             Err(()) => {
                 let resp = Response::Error {
@@ -396,8 +398,8 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>, addr: SocketAddr) 
                 }
                 continue;
             }
-            Ok(Some(())) => {}
-        }
+            Ok(Some(line)) => line,
+        };
         let trimmed = line.trim();
         if trimmed.is_empty() {
             continue;
@@ -601,16 +603,14 @@ fn worker_loop(shared: &Arc<Shared>) {
                 .send(Response::Started { job_id: job.id }.serialize());
             let run_started = Instant::now();
             let result = match shared.config.preemption_quantum {
-                Some(quantum) if !job.spec.trace_counting => {
-                    job.spec.execute_in_quanta(quantum, |_| {
-                        if job.deadline.is_some_and(|d| job.enqueued_at.elapsed() > d) {
-                            ControlFlow::Break(())
-                        } else {
-                            ControlFlow::Continue(())
-                        }
-                    })
-                }
-                _ => job.spec.execute().map(ControlFlow::Continue),
+                Some(quantum) => job.spec.execute_in_quanta(quantum, |_| {
+                    if job.deadline.is_some_and(|d| job.enqueued_at.elapsed() > d) {
+                        ControlFlow::Break(())
+                    } else {
+                        ControlFlow::Continue(())
+                    }
+                }),
+                None => job.spec.execute().map(ControlFlow::Continue),
             };
             let run_wall = run_started.elapsed();
             let total = job.enqueued_at.elapsed();
@@ -664,30 +664,30 @@ fn worker_loop(shared: &Arc<Shared>) {
     }
 }
 
-/// Executes `spec` in preemption quanta of `quantum` device cycles,
-/// the way a worker does when [`ServerConfig::preemption_quantum`] is set
-/// (minus the deadline check): one live launch, paused at every quantum
-/// boundary and continued from its in-memory state. The returned
-/// [`menda_core::JobOutcome`] (JSON and output digest included) is
-/// byte-identical to an uninterrupted [`JobSpec::execute`] — the
-/// preemption differential suite asserts that.
-///
-/// # Errors
-///
-/// Propagates [`JobError`] from validation or execution.
-pub fn execute_preemptible(
-    spec: &JobSpec,
-    quantum: u64,
-) -> Result<menda_core::JobOutcome, JobError> {
-    match spec.execute_in_quanta(quantum, |_| ControlFlow::Continue(()))? {
-        ControlFlow::Continue(outcome) => Ok(outcome),
-        ControlFlow::Break(_) => unreachable!("a run that is never stopped finishes"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A reader that, like a socket delivering a line in many small
+    /// reads, hands out one byte per `fill_buf`.
+    fn byte_at_a_time(text: &str) -> BufReader<&[u8]> {
+        BufReader::with_capacity(1, text.as_bytes())
+    }
+
+    #[test]
+    fn split_multibyte_characters_survive_line_reads() {
+        let mut reader = byte_at_a_time("{\"tag\":\"é→😀\"}\nnext");
+        let line = read_line_capped(&mut reader).expect("under the cap");
+        assert_eq!(line.as_deref(), Some("{\"tag\":\"é→😀\"}\n"));
+        let tail = read_line_capped(&mut reader).expect("under the cap");
+        assert_eq!(tail.as_deref(), Some("next"));
+        assert_eq!(read_line_capped(&mut reader), Ok(None));
+
+        let long = format!("{}\nok\n", "é".repeat(MAX_LINE_BYTES));
+        let mut reader = byte_at_a_time(&long);
+        assert_eq!(read_line_capped(&mut reader), Err(()));
+        assert_eq!(read_line_capped(&mut reader), Ok(Some("ok\n".into())));
+    }
 
     #[test]
     fn config_defaults_are_sane() {

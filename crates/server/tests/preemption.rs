@@ -2,17 +2,18 @@
 //! memory, or checkpointed and restored — must finish with a
 //! [`JobOutcome`] byte-identical (JSON serialization and output digest)
 //! to the uninterrupted run, both through the library seam
-//! ([`menda_server::execute_preemptible`]) and through a live daemon
+//! ([`JobSpec::execute_in_quanta`]) and through a live daemon
 //! whose workers run with [`ServerConfig::preemption_quantum`] set. A
 //! daemon with a quantum also stops an overdue job at the first quantum
 //! boundary past its deadline.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::ops::ControlFlow;
 use std::time::Duration;
 
 use menda_core::{BackendKind, JobKernel, JobProgress, JobSpec, MatrixSource};
-use menda_server::{execute_preemptible, ServerConfig, ServerHandle};
+use menda_server::{ServerConfig, ServerHandle};
 use menda_trace::json::{self, JsonValue};
 
 fn base_spec() -> JobSpec {
@@ -40,7 +41,10 @@ fn preempted_outcome_is_byte_identical() {
                 let what = format!("{kernel:?}/{backend:?}/threads={threads}");
                 let straight = spec.execute().expect("uninterrupted run");
                 // A small quantum forces many pause/continue steps.
-                let preempted = execute_preemptible(&spec, 400).expect("preempted run");
+                let preempted = match spec.execute_in_quanta(400, |_| ControlFlow::Continue(())) {
+                    Ok(ControlFlow::Continue(outcome)) => outcome,
+                    other => panic!("{what}: preempted run did not finish: {other:?}"),
+                };
                 assert_eq!(
                     straight.to_json(),
                     preempted.to_json(),
@@ -160,6 +164,52 @@ fn daemon_with_quantum_matches_batch() {
     assert_eq!(wire_cycles, batch.cycles);
 
     let mut server = server;
+    server.shutdown(true);
+    server.join();
+}
+
+/// Counting instrumentation runs in quanta too: a traced job on a daemon
+/// with a preemption quantum returns the batch outcome byte for byte,
+/// `trace_events` included.
+#[test]
+fn daemon_with_quantum_runs_traced_jobs_in_quanta() {
+    let mut server = ServerHandle::bind(
+        "127.0.0.1:0",
+        ServerConfig {
+            workers: 1,
+            preemption_quantum: Some(300),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind ephemeral port");
+    let mut spec = base_spec();
+    spec.trace_counting = true;
+    let batch = spec.execute().expect("batch run");
+    let events = batch.trace_events.expect("traced batch run counts events");
+
+    let stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(120)))
+        .expect("read timeout");
+    let mut writer = stream.try_clone().expect("clone");
+    writer
+        .write_all(format!("{{\"op\":\"submit\",\"job\":{}}}\n", spec.to_json()).as_bytes())
+        .expect("send");
+    let result = BufReader::new(stream)
+        .lines()
+        .map(|line| json::parse(&line.expect("recv")).expect("response parses"))
+        .find(|v| v.get("type").and_then(JsonValue::as_str) == Some("result"))
+        .expect("result line before hangup");
+    // The digest covers the outcome-JSON bytes, `trace_events` included.
+    let digest = format!("{:016x}", batch.digest());
+    assert_eq!(
+        result.get("stats_digest").and_then(JsonValue::as_str),
+        Some(digest.as_str()),
+        "traced job diverged over the wire: {result:?}"
+    );
+    let wire_events = result.get("stats").and_then(|s| s.get("trace_events"));
+    assert_eq!(wire_events.and_then(JsonValue::as_num), Some(events as f64));
+
     server.shutdown(true);
     server.join();
 }

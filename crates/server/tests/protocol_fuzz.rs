@@ -68,6 +68,12 @@ fn request_lines(specs: &[JobSpec]) -> Vec<String> {
             1000 * (i + 1)
         ));
     }
+    // A tag escaped the way Python's `json.dumps` writes it: one UTF-16
+    // surrogate pair per character outside the BMP.
+    lines.push(format!(
+        r#"{{"op":"submit","job":{},"tag":"\ud83d\ude00 \u00e9"}}"#,
+        specs[0].to_json()
+    ));
     lines
 }
 

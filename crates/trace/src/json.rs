@@ -244,20 +244,7 @@ impl Parser<'_> {
                         Some(b't') => out.push('\t'),
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            if self.pos + 5 > self.bytes.len() {
-                                return self.err("truncated \\u escape");
-                            }
-                            let hex = &self.bytes[self.pos + 1..self.pos + 5];
-                            let hex = std::str::from_utf8(hex)
-                                .ok()
-                                .and_then(|h| u32::from_str_radix(h, 16).ok());
-                            match hex.and_then(char::from_u32) {
-                                Some(c) => out.push(c),
-                                None => return self.err("invalid \\u escape"),
-                            }
-                            self.pos += 4;
-                        }
+                        Some(b'u') => out.push(self.unicode_escape()?),
                         _ => return self.err("invalid escape"),
                     }
                     self.pos += 1;
@@ -273,6 +260,42 @@ impl Parser<'_> {
                     out.push_str(std::str::from_utf8(&self.bytes[start..self.pos]).unwrap());
                 }
             }
+        }
+    }
+
+    /// Decodes the `\uXXXX` escape whose `u` is at `pos`, joining a
+    /// UTF-16 surrogate pair written as two escapes into one character;
+    /// leaves `pos` on the last hex digit read.
+    fn unicode_escape(&mut self) -> Result<char, (usize, String)> {
+        let at = self.pos;
+        let mut code = self.hex4()?;
+        let escape_follows = self.bytes.get(self.pos + 1..self.pos + 3) == Some(b"\\u");
+        if (0xD800..0xDC00).contains(&code) && escape_follows {
+            self.pos += 2;
+            let low = self.hex4()?;
+            if (0xDC00..0xE000).contains(&low) {
+                code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+            }
+        }
+        // Only a surrogate left unpaired fails to be a `char`.
+        char::from_u32(code).ok_or_else(|| (at, "unpaired surrogate in \\u escape".into()))
+    }
+
+    /// The code unit spelled by exactly four hex digits after the `u` at
+    /// `pos`; moves `pos` onto the last digit.
+    fn hex4(&mut self) -> Result<u32, (usize, String)> {
+        let Some(digits) = self.bytes.get(self.pos + 1..self.pos + 5) else {
+            return self.err("truncated \\u escape");
+        };
+        match digits
+            .iter()
+            .try_fold(0, |v, &d| Some(v * 16 + char::from(d).to_digit(16)?))
+        {
+            Some(unit) => {
+                self.pos += 4;
+                Ok(unit)
+            }
+            None => self.err("invalid \\u escape"),
         }
     }
 
@@ -367,6 +390,39 @@ mod tests {
             .join()
             .expect("parser thread survived");
         assert!(rejected);
+    }
+
+    #[test]
+    fn unicode_escapes_join_surrogate_pairs_and_reject_the_rest() {
+        assert_eq!(parse(r#""\ud83d\ude00""#).unwrap().as_str(), Some("😀"));
+        assert_eq!(parse(r#""a\uD834\uDD1Eb""#).unwrap().as_str(), Some("a𝄞b"));
+        assert_eq!(
+            parse(r#""\u00e9\uFFFF""#).unwrap().as_str(),
+            Some("é\u{ffff}")
+        );
+        for (doc, pos) in [
+            (r#""\ud83d""#, 2),
+            (r#""\ud83d x""#, 2),
+            (r#""\ud83d\n""#, 2),
+            (r#""\ud83d\u0041""#, 2),
+            (r#""x\ude00""#, 3),
+        ] {
+            let (at, msg) = parse(doc).unwrap_err();
+            assert_eq!(at, pos, "{doc}");
+            assert!(msg.contains("unpaired surrogate"), "{doc}: {msg}");
+        }
+        for doc in [
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u 41a""#,
+            r#""\ud83d\u+e00""#,
+        ] {
+            assert!(
+                parse(doc).unwrap_err().1.contains("invalid \\u escape"),
+                "{doc}"
+            );
+        }
+        assert!(parse(r#""\u004"#).unwrap_err().1.contains("truncated"));
     }
 
     #[test]
