@@ -1,5 +1,6 @@
-//! Regenerates the MeNDA paper's tables and figures, and fronts the
-//! resident simulation service.
+//! Regenerates the MeNDA paper's tables and figures, runs one JSON job
+//! description, and load-tests the resident simulation service (whose
+//! daemon is the `menda-server` binary).
 //!
 //! ```text
 //! repro all                 # every experiment at the default 1/64 scale
@@ -9,7 +10,6 @@
 //! repro --list              # available experiment ids
 //!
 //! repro job FILE            # run one JSON job description (batch path)
-//! repro serve [--addr A]    # start the resident simulation daemon
 //! repro serve-bench         # load-test the daemon, write SERVER_8.json
 //! ```
 //!
@@ -27,14 +27,12 @@ use menda_bench::experiments;
 use menda_bench::util;
 use menda_bench::Scale;
 use menda_core::JobSpec;
-use menda_server::{ServerConfig, ServerHandle};
 
 fn usage() -> String {
     format!(
         concat!(
             "usage: repro [--scale N] [--threads N] [--out DIR] [--list] <experiment...|all>\n",
             "       repro job FILE [--threads N] [--out DIR]\n",
-            "       repro serve [--addr HOST:PORT] [--workers N] [--queue N] [--max-nnz N] [--threads N]\n",
             "available experiments: {}\n",
             "service experiments:   {}\n"
         ),
@@ -47,7 +45,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("job") => run_job(&args[1..]),
-        Some("serve") => run_serve(&args[1..]),
         _ => run_experiments(&args),
     }
 }
@@ -202,72 +199,5 @@ fn run_job(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    ExitCode::SUCCESS
-}
-
-/// `repro serve [--addr A] [--workers N] [--queue N] [--max-nnz N]
-/// [--threads N]` — starts the resident daemon and serves until a
-/// client sends `{"op":"shutdown"}`. `--threads` sets the engine
-/// worker-thread default applied to jobs that leave `threads` unset.
-fn run_serve(args: &[String]) -> ExitCode {
-    let mut addr = "127.0.0.1:7870".to_string();
-    let mut config = ServerConfig::default();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        let value = |it: &mut std::slice::Iter<String>, flag: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        let result = match arg.as_str() {
-            "--addr" => value(&mut iter, "--addr").map(|v| addr = v),
-            "--workers" => value(&mut iter, "--workers").and_then(|v| {
-                v.parse()
-                    .map(|n| config.workers = n)
-                    .map_err(|_| format!("--workers: invalid number {v:?}"))
-            }),
-            "--queue" => value(&mut iter, "--queue").and_then(|v| match v.parse() {
-                Ok(n) if n > 0 => {
-                    config.queue_capacity = n;
-                    Ok(())
-                }
-                _ => Err(format!("--queue: needs a positive integer, got {v:?}")),
-            }),
-            "--max-nnz" => value(&mut iter, "--max-nnz").and_then(|v| {
-                v.parse()
-                    .map(|n| config.max_job_nnz = n)
-                    .map_err(|_| format!("--max-nnz: invalid number {v:?}"))
-            }),
-            "--threads" => value(&mut iter, "--threads").and_then(|v| match v.parse() {
-                Ok(n) if (1..=1024).contains(&n) => {
-                    config.default_threads = Some(n);
-                    Ok(())
-                }
-                _ => Err(format!(
-                    "--threads: needs an integer in [1, 1024], got {v:?}"
-                )),
-            }),
-            other => Err(format!("unknown flag {other:?}\n{}", usage())),
-        };
-        if let Err(message) = result {
-            eprintln!("{message}");
-            return ExitCode::FAILURE;
-        }
-    }
-    let server = match ServerHandle::bind(&addr, config.clone()) {
-        Ok(server) => server,
-        Err(e) => {
-            eprintln!("repro serve: cannot bind {addr}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    println!(
-        "repro serve: listening on {} ({} workers, queue {})",
-        server.local_addr(),
-        config.effective_workers(),
-        config.queue_capacity
-    );
-    server.join();
-    println!("repro serve: shut down");
     ExitCode::SUCCESS
 }

@@ -1,7 +1,7 @@
 //! Fig. 13 (scalability) and Fig. 14 (matrix distribution sensitivity).
 
 use menda_core::{MendaConfig, MendaSystem};
-use menda_sparse::gen::{table3_spec, TABLE3_POWER_LAW, TABLE3_UNIFORM};
+use menda_sparse::gen::{TABLE3_POWER_LAW, TABLE3_UNIFORM};
 
 use crate::util::{fmt_time, Scale, Table};
 
@@ -68,11 +68,4 @@ pub fn fig14(scale: Scale) -> String {
         100.0 * worst
     ));
     out
-}
-
-/// Convenience accessor used by the Criterion benches.
-pub fn n1(scale: Scale) -> menda_sparse::CsrMatrix {
-    table3_spec("N1")
-        .expect("N1")
-        .generate_scaled(scale.factor(), 17)
 }

@@ -18,7 +18,6 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod timing;
 pub mod util;
 
 pub use util::Scale;

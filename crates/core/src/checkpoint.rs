@@ -218,11 +218,6 @@ impl<T> SnapshotOutcome<T> {
             SnapshotOutcome::Paused(_) => None,
         }
     }
-
-    /// Whether the run paused (and so produced a snapshot).
-    pub fn is_paused(&self) -> bool {
-        matches!(self, SnapshotOutcome::Paused(_))
-    }
 }
 
 impl<T> From<ControlFlow<Vec<u8>, T>> for SnapshotOutcome<T> {

@@ -247,11 +247,6 @@ impl JobRun {
         self.base_cycles() + self.paused.as_ref().map_or(0, |st| st.cycles)
     }
 
-    /// Whether the job has run to completion.
-    pub fn is_finished(&self) -> bool {
-        self.finished
-    }
-
     /// Advances the job until it finishes (returns `true`) or the PU's
     /// cumulative cycle count for this job reaches `pause_at` (returns
     /// `false`, parked at a cycle boundary). Resuming — in this process or

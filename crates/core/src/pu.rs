@@ -647,11 +647,6 @@ impl ProcessingUnit {
         }
     }
 
-    /// The address layout this PU uses.
-    pub fn layout(&self) -> &AddressLayout {
-        &self.layout
-    }
-
     /// Merge-tree leaf count of this PU.
     pub(crate) fn leaves(&self) -> usize {
         self.pu_cfg.leaves

@@ -56,7 +56,6 @@ pub mod checker;
 pub mod command;
 mod config;
 pub mod cpu_mode;
-pub mod dram_mode;
 pub mod power;
 mod request;
 mod scheduler;

@@ -115,22 +115,3 @@ fn cache_scale_controls_working_set_fit() {
     let scaled_t = CpuMode::new(no_refresh(), CpuModeConfig::with_cache_scale(64)).run(vec![tiny]);
     assert_eq!(full_t.dram.reads, scaled_t.dram.reads);
 }
-
-/// dram-mode replay of the same requests under two arrival schedules
-/// keeps functional statistics identical.
-#[test]
-fn dram_mode_arrival_times_change_latency_not_work() {
-    use menda_dram::dram_mode::{replay, TraceRequest};
-    let addrs: Vec<u64> = (0..200).map(|i| i * 4096).collect();
-    let burst: Vec<TraceRequest> = addrs.iter().map(|&a| TraceRequest::read(0, a)).collect();
-    let paced: Vec<TraceRequest> = addrs
-        .iter()
-        .enumerate()
-        .map(|(i, &a)| TraceRequest::read(i as u64 * 100, a))
-        .collect();
-    let rb = replay(no_refresh(), &burst);
-    let rp = replay(no_refresh(), &paced);
-    assert_eq!(rb.stats.reads, rp.stats.reads);
-    assert!(rb.avg_latency > rp.avg_latency);
-    assert!(rp.finished_at > rb.finished_at); // pacing stretches the run
-}

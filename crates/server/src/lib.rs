@@ -17,8 +17,9 @@
 //! wire results against local batch re-execution, and reports throughput
 //! plus p50/p90/p99 latency (persisted as `results/SERVER_8.json`).
 //!
-//! Start a daemon with the `menda-server` binary (or `repro serve`), and
-//! drive it with the `loadgen` binary (or `repro serve-bench`):
+//! Start a daemon with the `menda-server` binary, and drive it with the
+//! `loadgen` binary (or `repro serve-bench`, which also starts its own
+//! in-process daemon):
 //!
 //! ```text
 //! $ menda-server --addr 127.0.0.1:7870 --workers 4 --queue 64
