@@ -212,7 +212,7 @@ pub fn run_with(scale: Scale, threads: usize, dir: &Path) -> Result<String, Stri
     let json = format!(
         concat!(
             "{{\n  \"experiment\": \"bench\",\n  \"scale\": {},\n  \"oracle_scale\": {},\n",
-            "  \"divergence\": false,\n  \"runs\": [\n{}\n  ],\n",
+            "  \"runs\": [\n{}\n  ],\n",
             "  \"oracle_runs\": [\n{}\n  ],\n",
             "  \"table4_runs\": [\n{}\n  ]\n}}\n"
         ),

@@ -493,7 +493,7 @@ impl MergeTree {
             // parent) may free its output mid-tick and let it move that
             // same cycle. Targeted wakes (popped-side children,
             // sibling-gated parent) arrive one cycle later in exactly
-            // those races — see `activity_driven_tick_matches_legacy`,
+            // those races — see `activity_driven_tick_matches_legacy_policy`,
             // which pins this policy against refinement attempts.
             if moved || pulled {
                 self.activate(pe);
@@ -517,10 +517,11 @@ impl MergeTree {
     /// Reference single cycle running the broad legacy wake policy: any
     /// PE that moved or pulled reactivates itself, its parent, and both
     /// children unconditionally. This is the timing the absolute cycle
-    /// fingerprints pin; the targeted wake-ups in [`MergeTree::tick`]
-    /// must visit a superset of every PE that acts under this policy at
-    /// the same cycle. The differential test drives both against random
-    /// traffic and compares FIFO states and root pops per cycle.
+    /// fingerprints pin. [`MergeTree::tick`] runs the same policy today,
+    /// so this frozen copy guards it: any change to `tick`'s visit order,
+    /// wake set or skipping must reproduce this function's state cycle by
+    /// cycle. The differential test drives both against random traffic
+    /// and compares FIFO states and root pops per cycle.
     #[cfg(test)]
     pub(crate) fn tick_legacy<S: LeafSource + ?Sized>(
         &mut self,

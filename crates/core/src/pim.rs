@@ -429,28 +429,6 @@ impl PimRun {
             };
         }
 
-        // Decode stream contents up front; the DRAM simulator provides
-        // timing, `IterSource` provides data (same split as the PU).
-        let source = job.source.iter_source();
-        let mut scratch = Vec::new();
-        let mut elems: Vec<Vec<(u32, u32, f32)>> = Vec::with_capacity(job.descriptors.len());
-        for desc in &job.descriptors {
-            source.materialize_into(desc, desc.start..desc.end, &mut scratch);
-            elems.push(
-                scratch
-                    .iter()
-                    .map(|p| match *p {
-                        Packet::Nz {
-                            major,
-                            minor,
-                            value,
-                        } => (major, minor, value),
-                        Packet::Eol => unreachable!("materialized streams carry no EOL"),
-                    })
-                    .collect(),
-            );
-        }
-
         // 1D partitioning: contiguous stream ranges per DPU, balanced by
         // element count (SparseP's equal-nnz 1D scheme).
         let lens: Vec<u64> = job.descriptors.iter().map(|s| s.end - s.start).collect();
@@ -493,22 +471,39 @@ impl PimRun {
             }
         }
 
-        // Local sorts: one run per non-empty DPU, in core order.
-        let mut runs: Vec<Vec<(u32, u32, f32)>> = Vec::new();
+        // Local sorts: one run per non-empty DPU, in core order, laid end
+        // to end in one buffer. Stream contents are decoded here, before
+        // any cycle runs; the DRAM simulator provides timing, `IterSource`
+        // provides data (same split as the PU).
+        let source = job.source.iter_source();
+        let mut scratch = Vec::new();
+        let mut runs: Vec<(u32, u32, f32)> = Vec::with_capacity(lens.iter().sum::<u64>() as usize);
+        let mut run = Vec::new();
+        let mut runs_count = 0u64;
         for part in &parts {
-            let mut run: Vec<(u32, u32, f32)> =
-                elems[part.clone()].iter().flatten().copied().collect();
+            for desc in &job.descriptors[part.clone()] {
+                source.materialize_into(desc, desc.start..desc.end, &mut scratch);
+                run.extend(scratch.iter().map(|p| match *p {
+                    Packet::Nz {
+                        major,
+                        minor,
+                        value,
+                    } => (major, minor, value),
+                    Packet::Eol => unreachable!("materialized streams carry no EOL"),
+                }));
+            }
             if run.is_empty() {
                 continue;
             }
             run.sort_by_key(|&(ma, mi, _)| (ma, mi));
             if job.reduce {
-                run = reduce_sorted(run);
+                reduce_sorted(&mut run);
             }
-            runs.push(run);
+            runs.append(&mut run);
+            runs_count += 1;
         }
-        let total_run_elems: u64 = runs.iter().map(|r| r.len() as u64).sum();
-        let merged = rank_merge(&runs, job.reduce);
+        let total_run_elems = runs.len() as u64;
+        let merged = rank_merge(runs, job.reduce);
 
         let run_blocks = unit.intermediate_blocks(job.intermediate, total_run_elems);
         let read_back: Vec<(u64, usize)> = run_blocks.iter().map(|&(addr, _)| (addr, 0)).collect();
@@ -524,7 +519,7 @@ impl PimRun {
             compute,
             active,
             total_run_elems,
-            runs_count: runs.len() as u64,
+            runs_count,
             merged,
             phase: PimPhase::LoadStreams,
             next: 0,
@@ -945,47 +940,39 @@ fn round_robin(lists: Vec<Vec<(u64, usize)>>) -> Vec<(u64, usize)> {
     }
 }
 
-/// Sums adjacent elements with equal (major, minor) keys in a sorted run.
-fn reduce_sorted(run: Vec<(u32, u32, f32)>) -> Vec<(u32, u32, f32)> {
-    let mut out: Vec<(u32, u32, f32)> = Vec::with_capacity(run.len());
-    for (ma, mi, v) in run {
-        match out.last_mut() {
-            Some(last) if last.0 == ma && last.1 == mi => last.2 += v,
-            _ => out.push((ma, mi, v)),
+/// Sums adjacent elements with equal (major, minor) keys in a sorted run,
+/// in run order, keeping the first element of each key.
+fn reduce_sorted(run: &mut Vec<(u32, u32, f32)>) {
+    run.dedup_by(|next, kept| {
+        let same = (next.0, next.1) == (kept.0, kept.1);
+        if same {
+            kept.2 += next.2;
         }
-    }
-    out
+        same
+    });
 }
 
-/// Stable `d`-way merge of sorted runs by (major, minor) — ties go to the
-/// earliest run, so reduction order is deterministic for any thread count.
-fn rank_merge(runs: &[Vec<(u32, u32, f32)>], reduce: bool) -> (Vec<u32>, Vec<u32>, Vec<f32>) {
-    let mut pos = vec![0usize; runs.len()];
-    let mut majors = Vec::new();
-    let mut minors = Vec::new();
-    let mut values = Vec::new();
-    loop {
-        let mut best: Option<(u32, u32, usize)> = None;
-        for (r, run) in runs.iter().enumerate() {
-            if let Some(&(ma, mi, _)) = run.get(pos[r]) {
-                if best.is_none_or(|(bma, bmi, _)| (ma, mi) < (bma, bmi)) {
-                    best = Some((ma, mi, r));
-                }
-            }
-        }
-        let Some((ma, mi, r)) = best else {
-            return (majors, minors, values);
-        };
-        let v = runs[r][pos[r]].2;
-        pos[r] += 1;
-        if reduce && majors.last() == Some(&ma) && minors.last() == Some(&mi) {
-            *values.last_mut().expect("non-empty on duplicate key") += v;
-        } else {
-            majors.push(ma);
-            minors.push(mi);
-            values.push(v);
-        }
+/// Stable `d`-way merge by (major, minor) of the sorted runs laid end to
+/// end in `runs`: equal keys keep run order, so reduction order is
+/// deterministic for any thread count. The stable sort finds the
+/// pre-sorted runs and merges them.
+fn rank_merge(mut runs: Vec<(u32, u32, f32)>, reduce: bool) -> (Vec<u32>, Vec<u32>, Vec<f32>) {
+    runs.sort_by_key(|&(ma, mi, _)| (ma, mi));
+    if reduce {
+        reduce_sorted(&mut runs);
     }
+    let n = runs.len();
+    let mut merged = (
+        Vec::with_capacity(n),
+        Vec::with_capacity(n),
+        Vec::with_capacity(n),
+    );
+    for (ma, mi, v) in runs {
+        merged.0.push(ma);
+        merged.1.push(mi);
+        merged.2.push(v);
+    }
+    merged
 }
 
 /// Stores the phase's DRAM row-locality deltas into `it` (the same
@@ -1101,16 +1088,88 @@ mod tests {
 
     #[test]
     fn rank_merge_reduces_across_runs() {
-        let runs = vec![
-            vec![(1, 1, 1.0), (2, 0, 2.0)],
-            vec![(1, 1, 3.0), (3, 0, 4.0)],
-        ];
-        let (ma, mi, v) = rank_merge(&runs, true);
+        let runs = vec![(1, 1, 1.0), (2, 0, 2.0), (1, 1, 3.0), (3, 0, 4.0)];
+        let (ma, mi, v) = rank_merge(runs.clone(), true);
         assert_eq!(ma, vec![1, 2, 3]);
         assert_eq!(mi, vec![1, 0, 0]);
         assert_eq!(v, vec![4.0, 2.0, 4.0]);
-        let (ma, _, v) = rank_merge(&runs, false);
+        let (ma, _, v) = rank_merge(runs, false);
         assert_eq!(ma, vec![1, 1, 2, 3]);
         assert_eq!(v, vec![1.0, 3.0, 2.0, 4.0]);
+    }
+
+    /// Reference for `rank_merge`: an O(n·d) merge in which every output
+    /// element scans the heads of all runs and takes the smallest key,
+    /// the earliest run on ties, summing equal adjacent keys when
+    /// `reduce` is set.
+    fn rank_merge_scan(
+        runs: &[Vec<(u32, u32, f32)>],
+        reduce: bool,
+    ) -> (Vec<u32>, Vec<u32>, Vec<f32>) {
+        let mut pos = vec![0usize; runs.len()];
+        let (mut majors, mut minors, mut values) = (Vec::new(), Vec::new(), Vec::new());
+        loop {
+            let mut best: Option<(u32, u32, usize)> = None;
+            for (r, run) in runs.iter().enumerate() {
+                if let Some(&(ma, mi, _)) = run.get(pos[r]) {
+                    if best.is_none_or(|(bma, bmi, _)| (ma, mi) < (bma, bmi)) {
+                        best = Some((ma, mi, r));
+                    }
+                }
+            }
+            let Some((ma, mi, r)) = best else {
+                return (majors, minors, values);
+            };
+            let v = runs[r][pos[r]].2;
+            pos[r] += 1;
+            if reduce && majors.last() == Some(&ma) && minors.last() == Some(&mi) {
+                *values.last_mut().expect("non-empty on duplicate key") += v;
+            } else {
+                majors.push(ma);
+                minors.push(mi);
+                values.push(v);
+            }
+        }
+    }
+
+    #[test]
+    fn rank_merge_matches_the_scan_merge_bit_for_bit() {
+        let mut rng = menda_sparse::rng::StdRng::seed_from_u64(0x4A4E);
+        for case in 0..200 {
+            // Few distinct keys, so runs share keys and repeat them, and
+            // values of mixed magnitude, so any change in summation
+            // order shows in the bits.
+            let d = rng.random_range(1..65);
+            let keys = rng.random_range(1..40) as u32;
+            let runs: Vec<Vec<(u32, u32, f32)>> = (0..d)
+                .map(|_| {
+                    let len = rng.random_range(0..30);
+                    let mut run: Vec<(u32, u32, f32)> = (0..len)
+                        .map(|_| {
+                            let scale = [1e-4f32, 1.0, 3e3][rng.random_range(0..3)];
+                            let v = (rng.random::<f32>() - 0.5) * scale;
+                            (
+                                rng.random_range(0..4) as u32,
+                                rng.random_range(0..keys as usize) as u32,
+                                v,
+                            )
+                        })
+                        .collect();
+                    run.sort_by_key(|&(ma, mi, _)| (ma, mi));
+                    run
+                })
+                .collect();
+            for reduce in [false, true] {
+                let want = rank_merge_scan(&runs, reduce);
+                let got = rank_merge(runs.concat(), reduce);
+                assert_eq!(
+                    (&got.0, &got.1),
+                    (&want.0, &want.1),
+                    "case {case} reduce {reduce}"
+                );
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got.2), bits(&want.2), "case {case} reduce {reduce}");
+            }
+        }
     }
 }

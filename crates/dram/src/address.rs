@@ -48,12 +48,49 @@ pub enum MappingScheme {
     RoCoBaRaCh,
 }
 
+// Indices of the coordinate fields, in `DramCoord` order.
+const CHANNEL: usize = 0;
+const RANK: usize = 1;
+const BANK_GROUP: usize = 2;
+const BANK: usize = 3;
+const ROW: usize = 4;
+const COLUMN: usize = 5;
+
+impl MappingScheme {
+    /// The coordinate fields (indices into [`field_sizes`]) from the least
+    /// to the most significant line-address bits.
+    fn low_to_high(self) -> [usize; 6] {
+        match self {
+            MappingScheme::RoBaRaCoCh => [CHANNEL, COLUMN, RANK, BANK, BANK_GROUP, ROW],
+            MappingScheme::ChRaBaRoCo => [COLUMN, ROW, BANK, BANK_GROUP, RANK, CHANNEL],
+            MappingScheme::RoCoBaRaCh => [CHANNEL, RANK, BANK, BANK_GROUP, COLUMN, ROW],
+        }
+    }
+}
+
+/// Field sizes in [`DramCoord`] order: channel, rank, bank group, bank,
+/// row, column.
+fn field_sizes(org: &Organization) -> [usize; 6] {
+    [
+        org.channels,
+        org.ranks,
+        org.bank_groups,
+        org.banks_per_group,
+        org.rows,
+        org.columns,
+    ]
+}
+
 /// Translates physical addresses to [`DramCoord`]s for an
 /// [`Organization`] under a [`MappingScheme`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AddressMapper {
     org: Organization,
     scheme: MappingScheme,
+    /// Per field, in [`DramCoord`] order, the byte-address shift and mask
+    /// that extract it. Present when every field size is a power of two;
+    /// otherwise [`AddressMapper::decode`] divides.
+    bits: Option<[(u32, u64); 6]>,
 }
 
 impl AddressMapper {
@@ -70,7 +107,20 @@ impl AddressMapper {
         assert!(org.bank_groups.is_power_of_two());
         assert!(org.banks_per_group.is_power_of_two());
         assert!(org.channels >= 1 && org.ranks >= 1);
-        Self { org, scheme }
+        let sizes = field_sizes(&org);
+        let bits = sizes.iter().all(|n| n.is_power_of_two()).then(|| {
+            let mut bits = [(0, 0); 6];
+            let mut shift = org.transaction_bytes.trailing_zeros();
+            for f in scheme.low_to_high() {
+                // A field wholly above bit 63 reads 0, as when dividing.
+                if shift < 64 {
+                    bits[f] = (shift, sizes[f] as u64 - 1);
+                }
+                shift += sizes[f].trailing_zeros();
+            }
+            bits
+        });
+        Self { org, scheme, bits }
     }
 
     /// The organization this mapper decodes for.
@@ -83,66 +133,34 @@ impl AddressMapper {
     /// Addresses beyond the configured capacity wrap (the simulator's
     /// address space is a torus; callers allocate within capacity).
     pub fn decode(&self, addr: u64) -> DramCoord {
-        let mut line = addr / self.org.transaction_bytes as u64;
-        let mut take = |n: usize| -> usize {
-            if n <= 1 {
-                return 0;
-            }
-            let v = (line % n as u64) as usize;
-            line /= n as u64;
-            v
+        let v = match &self.bits {
+            Some(bits) => bits.map(|(shift, mask)| ((addr >> shift) & mask) as usize),
+            None => self.divide(addr),
         };
-        let o = self.org;
-        match self.scheme {
-            MappingScheme::RoBaRaCoCh => {
-                let channel = take(o.channels);
-                let column = take(o.columns);
-                let rank = take(o.ranks);
-                let bank = take(o.banks_per_group);
-                let bank_group = take(o.bank_groups);
-                let row = take(o.rows);
-                DramCoord {
-                    channel,
-                    rank,
-                    bank_group,
-                    bank,
-                    row,
-                    column,
-                }
-            }
-            MappingScheme::ChRaBaRoCo => {
-                let column = take(o.columns);
-                let row = take(o.rows);
-                let bank = take(o.banks_per_group);
-                let bank_group = take(o.bank_groups);
-                let rank = take(o.ranks);
-                let channel = take(o.channels);
-                DramCoord {
-                    channel,
-                    rank,
-                    bank_group,
-                    bank,
-                    row,
-                    column,
-                }
-            }
-            MappingScheme::RoCoBaRaCh => {
-                let channel = take(o.channels);
-                let rank = take(o.ranks);
-                let bank = take(o.banks_per_group);
-                let bank_group = take(o.bank_groups);
-                let column = take(o.columns);
-                let row = take(o.rows);
-                DramCoord {
-                    channel,
-                    rank,
-                    bank_group,
-                    bank,
-                    row,
-                    column,
-                }
+        DramCoord {
+            channel: v[CHANNEL],
+            rank: v[RANK],
+            bank_group: v[BANK_GROUP],
+            bank: v[BANK],
+            row: v[ROW],
+            column: v[COLUMN],
+        }
+    }
+
+    /// The fields in [`DramCoord`] order by repeated division of the line
+    /// address, for channel or rank counts that are not powers of two.
+    fn divide(&self, addr: u64) -> [usize; 6] {
+        let sizes = field_sizes(&self.org);
+        let mut line = addr / self.org.transaction_bytes as u64;
+        let mut v = [0; 6];
+        for f in self.scheme.low_to_high() {
+            let n = sizes[f] as u64;
+            if n > 1 {
+                v[f] = (line % n) as usize;
+                line /= n;
             }
         }
+        v
     }
 }
 
@@ -240,5 +258,87 @@ mod tests {
             .max()
             .unwrap();
         assert!(max_flat < o.ranks * o.banks_per_rank());
+    }
+
+    /// Field-by-field division in each scheme's order, as `decode` was
+    /// first written: the reference both decode paths must match.
+    fn reference_decode(o: Organization, scheme: MappingScheme, addr: u64) -> DramCoord {
+        let mut line = addr / o.transaction_bytes as u64;
+        let mut take = |n: usize| -> usize {
+            if n <= 1 {
+                return 0;
+            }
+            let v = (line % n as u64) as usize;
+            line /= n as u64;
+            v
+        };
+        let mut c = DramCoord {
+            channel: 0,
+            rank: 0,
+            bank_group: 0,
+            bank: 0,
+            row: 0,
+            column: 0,
+        };
+        match scheme {
+            MappingScheme::RoBaRaCoCh => {
+                c.channel = take(o.channels);
+                c.column = take(o.columns);
+                c.rank = take(o.ranks);
+                c.bank = take(o.banks_per_group);
+                c.bank_group = take(o.bank_groups);
+                c.row = take(o.rows);
+            }
+            MappingScheme::ChRaBaRoCo => {
+                c.column = take(o.columns);
+                c.row = take(o.rows);
+                c.bank = take(o.banks_per_group);
+                c.bank_group = take(o.bank_groups);
+                c.rank = take(o.ranks);
+                c.channel = take(o.channels);
+            }
+            MappingScheme::RoCoBaRaCh => {
+                c.channel = take(o.channels);
+                c.rank = take(o.ranks);
+                c.bank = take(o.banks_per_group);
+                c.bank_group = take(o.bank_groups);
+                c.column = take(o.columns);
+                c.row = take(o.rows);
+            }
+        }
+        c
+    }
+
+    #[test]
+    fn decode_matches_division_for_every_scheme_channel_and_rank_count() {
+        let mut rng = menda_sparse::rng::StdRng::seed_from_u64(0xDEC0DE);
+        for scheme in [
+            MappingScheme::RoBaRaCoCh,
+            MappingScheme::ChRaBaRoCo,
+            MappingScheme::RoCoBaRaCh,
+        ] {
+            for channels in 1..=3 {
+                for ranks in 1..=3 {
+                    let mut o = org();
+                    o.channels = channels;
+                    o.ranks = ranks;
+                    let m = AddressMapper::new(o, scheme);
+                    let capacity = o.capacity_bytes() as u64;
+                    for i in 0..4096u64 {
+                        // Within capacity, past it (wrapping), and anywhere.
+                        let addr = match i % 3 {
+                            0 => rng.next_u64() % capacity,
+                            1 => capacity + rng.next_u64() % capacity,
+                            _ => rng.next_u64(),
+                        };
+                        assert_eq!(
+                            m.decode(addr),
+                            reference_decode(o, scheme, addr),
+                            "{scheme:?} channels {channels} ranks {ranks} addr {addr:#x}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

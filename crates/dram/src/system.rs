@@ -70,8 +70,10 @@ impl MemorySystem {
 
     /// Whether the owning channel currently has room for `req`.
     pub fn can_accept(&self, req: &MemRequest) -> bool {
-        let coord = self.mapper.decode(req.addr);
-        let ch = &self.channels[coord.channel];
+        let ch = match self.channels.as_slice() {
+            [only] => only,
+            all => &all[self.mapper.decode(req.addr).channel],
+        };
         if req.is_read() {
             ch.read_queue_len() < self.config.read_queue
         } else {

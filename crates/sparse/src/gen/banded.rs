@@ -1,10 +1,8 @@
-use std::collections::HashSet;
-
 use crate::rng::StdRng;
 
 use crate::{CsrMatrix, Index};
 
-use super::uniform::build_csr;
+use super::coords::CoordSet;
 
 /// Generates a banded matrix with `nnz` nonzeros concentrated within
 /// `half_bandwidth` of the diagonal, plus a `scatter` fraction of uniformly
@@ -47,24 +45,24 @@ pub fn banded(dim: usize, nnz: usize, half_bandwidth: usize, scatter: f64, seed:
     );
 
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut seen: HashSet<(Index, Index)> = HashSet::with_capacity(nnz * 2);
+    let mut seen = CoordSet::with_capacity(nnz);
     // Diagonal first: these matrices virtually always have full diagonals.
     for r in 0..dim.min(band_target) {
-        seen.insert((r as Index, r as Index));
+        seen.insert(r as Index, r as Index);
     }
     while seen.len() < band_target {
         let r = rng.random_range(0..dim);
         let lo = r.saturating_sub(half_bandwidth);
         let hi = (r + half_bandwidth + 1).min(dim);
         let c = rng.random_range(lo..hi);
-        seen.insert((r as Index, c as Index));
+        seen.insert(r as Index, c as Index);
     }
     while seen.len() < nnz {
         let r = rng.random_range(0..dim) as Index;
         let c = rng.random_range(0..dim) as Index;
-        seen.insert((r, c));
+        seen.insert(r, c);
     }
-    build_csr(dim, dim, seen.into_iter().collect(), &mut rng)
+    seen.into_csr(dim, &mut rng)
 }
 
 /// Generates a block-structured matrix: `blocks` dense-ish diagonal blocks
@@ -106,7 +104,7 @@ pub fn block_structured(
     let block_target = (((nnz as f64) * (1.0 - scatter)) as usize).min(block_capacity);
 
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut seen: HashSet<(Index, Index)> = HashSet::with_capacity(nnz * 2);
+    let mut seen = CoordSet::with_capacity(nnz);
     while seen.len() < block_target {
         let b = rng.random_range(0..blocks);
         let lo = b * block_size;
@@ -116,14 +114,14 @@ pub fn block_structured(
         }
         let r = rng.random_range(lo..hi) as Index;
         let c = rng.random_range(lo..hi) as Index;
-        seen.insert((r, c));
+        seen.insert(r, c);
     }
     while seen.len() < nnz {
         let r = rng.random_range(0..dim) as Index;
         let c = rng.random_range(0..dim) as Index;
-        seen.insert((r, c));
+        seen.insert(r, c);
     }
-    build_csr(dim, dim, seen.into_iter().collect(), &mut rng)
+    seen.into_csr(dim, &mut rng)
 }
 
 #[cfg(test)]

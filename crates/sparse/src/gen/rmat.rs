@@ -1,10 +1,8 @@
-use std::collections::HashSet;
-
 use crate::rng::StdRng;
 
 use crate::{CsrMatrix, Index};
 
-use super::uniform::build_csr;
+use super::coords::CoordSet;
 
 /// Quadrant probabilities for the recursive R-MAT generator.
 ///
@@ -53,7 +51,9 @@ impl Default for RmatParams {
 ///
 /// `dim` is rounded up internally to a power of two for the recursion and
 /// coordinates outside `dim` are rejected, so the result has exactly the
-/// requested dimension and `nnz` distinct nonzeros. Deterministic per seed.
+/// requested dimension and `nnz` distinct nonzeros. Unlike SNAP, the
+/// quadrant probabilities carry no per-level noise: a duplicate or
+/// out-of-range sample is simply redrawn. Deterministic per seed.
 ///
 /// # Panics
 ///
@@ -76,31 +76,48 @@ pub fn rmat(dim: usize, nnz: usize, params: RmatParams, seed: u64) -> CsrMatrix 
         "cannot place {nnz} distinct nonzeros in a {dim}x{dim} matrix"
     );
     let levels = dim.next_power_of_two().trailing_zeros();
+    // Cumulative quadrant bounds, each sum taken left to right.
+    let bounds = [
+        params.a,
+        params.a + params.b,
+        params.a + params.b + params.c,
+    ];
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut seen: HashSet<(Index, Index)> = HashSet::with_capacity(nnz * 2);
-    // Slight per-level probability noise, as SNAP applies, prevents the
-    // degenerate case where every duplicate retry lands on the same cell.
+    let mut seen = CoordSet::with_capacity(nnz);
     while seen.len() < nnz {
-        let (mut r, mut c) = (0usize, 0usize);
-        for _ in 0..levels {
-            let p: f64 = rng.random();
-            let (dr, dc) = if p < params.a {
-                (0, 0)
-            } else if p < params.a + params.b {
-                (0, 1)
-            } else if p < params.a + params.b + params.c {
-                (1, 0)
-            } else {
-                (1, 1)
-            };
-            r = (r << 1) | dr;
-            c = (c << 1) | dc;
-        }
-        if r < dim && c < dim {
-            seen.insert((r as Index, c as Index));
+        if let Some((r, c)) = sample(&mut rng, levels, dim, &bounds) {
+            seen.insert(r as Index, c as Index);
         }
     }
-    build_csr(dim, dim, seen.into_iter().collect(), &mut rng)
+    seen.into_csr(dim, &mut rng)
+}
+
+/// Places one sample by descending `levels` quadrant levels, one `f64`
+/// draw per level; `None` when the cell falls outside `dim`.
+///
+/// The descent stops as soon as the partial row or column already puts
+/// every completion outside `dim`, and then skips the remaining levels'
+/// draws unused. Each sample therefore consumes exactly `levels` draws
+/// whether it is kept or not, so the random stream, and with it the
+/// matrix, is the same as for a full descent.
+fn sample(rng: &mut StdRng, levels: u32, dim: usize, bounds: &[f64; 3]) -> Option<(usize, usize)> {
+    let (mut r, mut c) = (0usize, 0usize);
+    for rest in (0..levels).rev() {
+        let p: f64 = rng.random();
+        // Quadrant 0–3 (top-left, top-right, bottom-left, bottom-right)
+        // is the number of bounds at or below `p`.
+        let q =
+            usize::from(p >= bounds[0]) + usize::from(p >= bounds[1]) + usize::from(p >= bounds[2]);
+        r = (r << 1) | (q >> 1);
+        c = (c << 1) | (q & 1);
+        if r.max(c) << rest >= dim {
+            for _ in 0..rest {
+                rng.next_u64();
+            }
+            return None;
+        }
+    }
+    Some((r, c))
 }
 
 #[cfg(test)]
@@ -142,6 +159,29 @@ mod tests {
         assert_eq!(m.nnz(), 1000);
         for (_, c, _) in m.iter() {
             assert!(c < 300);
+        }
+    }
+
+    #[test]
+    fn every_sample_consumes_one_draw_per_level() {
+        let p = RmatParams::PAPER;
+        let bounds = [p.a, p.a + p.b, p.a + p.b + p.c];
+        for dim in [1usize, 2, 3, 1000, 1025, 37_412] {
+            let levels = dim.next_power_of_two().trailing_zeros();
+            let mut rng = StdRng::seed_from_u64(dim as u64);
+            let mut kept = 0;
+            for _ in 0..500 {
+                let mut full = rng.clone();
+                if let Some((r, c)) = sample(&mut rng, levels, dim, &bounds) {
+                    assert!(r < dim && c < dim);
+                    kept += 1;
+                }
+                for _ in 0..levels {
+                    full.next_u64();
+                }
+                assert_eq!(rng.next_u64(), full.next_u64(), "dim {dim}");
+            }
+            assert!(kept > 0, "dim {dim}: every sample rejected");
         }
     }
 

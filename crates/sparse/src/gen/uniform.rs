@@ -1,8 +1,8 @@
-use std::collections::HashSet;
-
 use crate::rng::StdRng;
 
-use crate::{CsrMatrix, Index, Value};
+use crate::{CsrMatrix, Index};
+
+use super::coords::CoordSet;
 
 /// Generates a square uniform random matrix by sampling nonzero coordinates
 /// uniformly until `nnz` distinct coordinates have been collected — the
@@ -29,38 +29,13 @@ pub fn uniform(dim: usize, nnz: usize, seed: u64) -> CsrMatrix {
         "cannot place {nnz} distinct nonzeros in a {dim}x{dim} matrix"
     );
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut seen: HashSet<(Index, Index)> = HashSet::with_capacity(nnz * 2);
+    let mut seen = CoordSet::with_capacity(nnz);
     while seen.len() < nnz {
         let r = rng.random_range(0..dim) as Index;
         let c = rng.random_range(0..dim) as Index;
-        seen.insert((r, c));
+        seen.insert(r, c);
     }
-    build_csr(dim, dim, seen.into_iter().collect(), &mut rng)
-}
-
-/// Sorts coordinates row-major, attaches uniform random values and builds a
-/// CSR matrix. Shared by the generators in this module tree.
-pub(crate) fn build_csr(
-    nrows: usize,
-    ncols: usize,
-    mut coords: Vec<(Index, Index)>,
-    rng: &mut StdRng,
-) -> CsrMatrix {
-    coords.sort_unstable();
-    let mut row_ptr = vec![0usize; nrows + 1];
-    for &(r, _) in &coords {
-        row_ptr[r as usize + 1] += 1;
-    }
-    for r in 0..nrows {
-        row_ptr[r + 1] += row_ptr[r];
-    }
-    let mut col_idx = Vec::with_capacity(coords.len());
-    let mut values = Vec::with_capacity(coords.len());
-    for (_, c) in coords {
-        col_idx.push(c);
-        values.push(rng.random::<Value>());
-    }
-    CsrMatrix::from_parts_unchecked(nrows, ncols, row_ptr, col_idx, values)
+    seen.into_csr(dim, &mut rng)
 }
 
 #[cfg(test)]
