@@ -22,7 +22,7 @@
 //! kernel driver, statistic, energy model and trace consumer works
 //! unchanged on either device.
 
-use menda_dram::{Decoder, Encoder, SnapError};
+use menda_dram::{Decoder, Encoder, Snap, SnapError};
 use menda_trace::TraceReport;
 
 use crate::config::MendaConfig;
@@ -52,8 +52,9 @@ use crate::pu::{ProcessingUnit, PuResult};
 /// the job and the configuration is recomputed at restore.
 pub trait AcceleratorBackend: Sync {
     /// The per-rank device model (owns its rank's [`menda_dram`]
-    /// simulator).
-    type Unit: Send;
+    /// simulator). Its [`Snap`] encoding is the unit-level dynamic state
+    /// (cycle counters, request ids, the rank's DRAM simulator).
+    type Unit: Send + Snap;
     /// An in-flight job on one unit: the dynamic state of its execution,
     /// reified so it can pause and serialize.
     type Run: Send;
@@ -87,13 +88,16 @@ pub trait AcceleratorBackend: Sync {
     /// ([`TraceReport::absorb_as`]). `None` when tracing is off.
     fn take_trace_report(&self, unit: &mut Self::Unit) -> Option<TraceReport>;
 
-    /// Serializes the unit-level dynamic state (cycle counters, request
-    /// ids, the rank's DRAM simulator).
-    fn save_unit(&self, unit: &Self::Unit, enc: &mut Encoder);
+    /// Serializes the unit-level dynamic state.
+    fn save_unit(&self, unit: &Self::Unit, enc: &mut Encoder) {
+        unit.save(enc);
+    }
 
     /// Restores state saved by [`AcceleratorBackend::save_unit`] into a
     /// freshly built unit of the same configuration.
-    fn restore_unit(&self, unit: &mut Self::Unit, dec: &mut Decoder<'_>) -> Result<(), SnapError>;
+    fn restore_unit(&self, unit: &mut Self::Unit, dec: &mut Decoder<'_>) -> Result<(), SnapError> {
+        unit.load(dec)
+    }
 
     /// Serializes the run-level dynamic state.
     fn save_run(&self, run: &Self::Run, enc: &mut Encoder);
@@ -147,20 +151,8 @@ impl AcceleratorBackend for MendaBackend {
         unit.take_trace_report()
     }
 
-    fn save_unit(&self, unit: &ProcessingUnit, enc: &mut Encoder) {
-        unit.save_unit_state(enc);
-    }
-
-    fn restore_unit(
-        &self,
-        unit: &mut ProcessingUnit,
-        dec: &mut Decoder<'_>,
-    ) -> Result<(), SnapError> {
-        unit.restore_unit_state(dec)
-    }
-
     fn save_run(&self, run: &JobRun, enc: &mut Encoder) {
-        run.save_state(enc);
+        run.save_run(enc);
     }
 
     fn restore_run(
@@ -169,7 +161,7 @@ impl AcceleratorBackend for MendaBackend {
         job: PuJob,
         dec: &mut Decoder<'_>,
     ) -> Result<JobRun, SnapError> {
-        JobRun::restore_state(unit, job, dec)
+        JobRun::restore(unit, job, dec)
     }
 }
 

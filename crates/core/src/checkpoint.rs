@@ -51,7 +51,7 @@
 use std::fmt;
 use std::ops::ControlFlow;
 
-use menda_dram::{fnv1a, Decoder, Encoder, MappingScheme, RowPolicy, SnapError};
+use menda_dram::{fnv1a, Decoder, Encoder, MappingScheme, RowPolicy, Snap, SnapError};
 
 use crate::backend::AcceleratorBackend;
 use crate::config::MendaConfig;
@@ -90,8 +90,6 @@ pub enum SnapshotError {
     /// is active — trace sinks are host-side observers, not simulated
     /// machine state.
     TracingActive,
-    /// The operation is not available for this kernel or backend.
-    Unsupported(&'static str),
 }
 
 impl fmt::Display for SnapshotError {
@@ -113,7 +111,6 @@ impl fmt::Display for SnapshotError {
             SnapshotError::TracingActive => {
                 write!(f, "checkpointing is not supported while tracing is active")
             }
-            SnapshotError::Unsupported(what) => write!(f, "checkpointing unsupported: {what}"),
         }
     }
 }
@@ -149,7 +146,7 @@ pub fn config_fingerprint(config: &MendaConfig) -> u64 {
     e.bool(pu.request_coalescing);
     e.usize(pu.output_buffer_bytes);
     e.usize(pu.pointer_read_depth);
-    e.opt_u64(pu.host_read_interval);
+    pu.host_read_interval.save(&mut e);
     let pim = &config.pim;
     e.u64(pim.frequency_mhz);
     e.usize(pim.dpus_per_rank);
@@ -168,12 +165,11 @@ pub fn config_fingerprint(config: &MendaConfig) -> u64 {
     e.usize(d.org.columns);
     e.usize(d.org.transaction_bytes);
     let t = &d.timing;
-    for v in [
+    [
         t.t_rc, t.t_rcd, t.t_cl, t.t_cwl, t.t_rp, t.t_ras, t.t_bl, t.t_ccd_s, t.t_ccd_l, t.t_rrd_s,
         t.t_rrd_l, t.t_faw, t.t_wtr, t.t_wr, t.t_rtp, t.t_refi, t.t_rfc,
-    ] {
-        e.u64(v);
-    }
+    ]
+    .save(&mut e);
     e.u8(match d.mapping {
         MappingScheme::RoBaRaCoCh => 0,
         MappingScheme::ChRaBaRoCo => 1,
@@ -407,13 +403,11 @@ impl<'a, B: AcceleratorBackend> Engine<'a, B> {
     /// Assembles the versioned container around per-unit payloads.
     fn encode_container(&self, unit_blobs: &[Vec<u8>]) -> Vec<u8> {
         let mut e = Encoder::new();
-        for &b in SNAPSHOT_MAGIC.iter() {
-            e.u8(b);
-        }
+        SNAPSHOT_MAGIC.save(&mut e);
         e.u32(SNAPSHOT_VERSION);
         e.u64(config_fingerprint(self.config()));
         e.bytes(self.backend().name().as_bytes());
-        e.seq(unit_blobs.len());
+        e.usize(unit_blobs.len());
         for blob in unit_blobs {
             e.bytes(blob);
         }

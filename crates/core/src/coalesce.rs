@@ -18,12 +18,18 @@ pub enum EnqueueOutcome {
     Full,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct Entry {
     block: u64,
     waiters: Vec<u32>,
     issued: bool,
 }
+
+menda_dram::snap_fields!(Entry {
+    block,
+    waiters,
+    issued
+});
 
 /// Read request queue with optional coalescing.
 ///
@@ -60,6 +66,14 @@ pub struct CoalescingQueue {
     /// allocates nothing.
     waiter_pool: Vec<Vec<u32>>,
 }
+
+// The waiter pool is recycling storage only; `capacity` and `coalescing`
+// come from the restore target.
+menda_dram::snap_fields!(CoalescingQueue {
+    entries,
+    coalesced_count,
+    queued_count,
+} after restored);
 
 impl CoalescingQueue {
     /// Creates a queue with `capacity` slots; `coalescing` enables the CAM
@@ -195,52 +209,14 @@ impl CoalescingQueue {
         out
     }
 
-    /// Serializes the resident entries and counters. The waiter pool is
-    /// recycling storage only and is not written; `capacity` and
-    /// `coalescing` come from the configuration of the restore target.
-    pub(crate) fn save_state(&self, enc: &mut menda_dram::Encoder) {
-        enc.seq(self.entries.len());
-        for e in &self.entries {
-            enc.u64(e.block);
-            enc.u32s(&e.waiters);
-            enc.bool(e.issued);
+    /// Post-load checks and rebuilds: at most `capacity` entries, each
+    /// with a waiter; the unissued count is recomputed from the entries
+    /// and the waiter pool starts empty.
+    fn restored(&mut self) -> Result<(), menda_dram::SnapError> {
+        if self.entries.len() > self.capacity || self.entries.iter().any(|e| e.waiters.is_empty()) {
+            return Err(menda_dram::SnapError::BadValue);
         }
-        enc.u64(self.coalesced_count);
-        enc.u64(self.queued_count);
-    }
-
-    /// Restores state saved by [`CoalescingQueue::save_state`] into a
-    /// freshly built queue of the same configuration. The unissued count
-    /// is recomputed from the restored entries.
-    pub(crate) fn restore_state(
-        &mut self,
-        dec: &mut menda_dram::Decoder<'_>,
-    ) -> Result<(), menda_dram::SnapError> {
-        use menda_dram::SnapError;
-        let n = dec.len_capped(17)?;
-        if n > self.capacity {
-            return Err(SnapError::BadValue);
-        }
-        let mut entries = Vec::with_capacity(self.capacity.max(n));
-        let mut unissued = 0usize;
-        for _ in 0..n {
-            let block = dec.u64()?;
-            let waiters = dec.u32s()?;
-            let issued = dec.bool()?;
-            if waiters.is_empty() {
-                return Err(SnapError::BadValue);
-            }
-            unissued += usize::from(!issued);
-            entries.push(Entry {
-                block,
-                waiters,
-                issued,
-            });
-        }
-        self.entries = entries;
-        self.unissued = unissued;
-        self.coalesced_count = dec.u64()?;
-        self.queued_count = dec.u64()?;
+        self.unissued = self.entries.iter().filter(|e| !e.issued).count();
         self.waiter_pool.clear();
         Ok(())
     }

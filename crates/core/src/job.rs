@@ -8,7 +8,7 @@
 //! kernels and [`JobRun`] runs the loop, so the kernel drivers contain no
 //! per-iteration plumbing of their own.
 
-use menda_dram::{fnv1a, Decoder, Encoder, SnapError};
+use menda_dram::{fnv1a, snap, Decoder, Encoder, Snap, SnapError};
 use menda_sparse::CsrMatrix;
 
 use crate::layout::{AddressLayout, BLOCK_BYTES, PTR_BYTES};
@@ -216,6 +216,18 @@ pub struct JobRun {
     paused: Option<IterState>,
 }
 
+// The run's progress. The job is not written: the restore side rebuilds
+// it deterministically and the container guards the pairing with
+// `job_fingerprint`. `paused` follows in `JobRun::save_run`, because
+// its fresh state is built against the unit.
+menda_dram::snap_fields!(JobRun {
+    it,
+    finished,
+    iter_stats,
+    prev,
+    boundaries,
+} after restored);
+
 impl JobRun {
     /// Prepares `job` for execution on a PU with `leaves` merge-tree
     /// leaves without running any cycles. A job with no streams is
@@ -363,92 +375,48 @@ impl JobRun {
         }
     }
 
-    /// Serializes the run's dynamic state. The job itself is *not*
-    /// written — the restore side rebuilds it deterministically and the
-    /// container layer guards the pairing with [`job_fingerprint`].
-    pub(crate) fn save_state(&self, enc: &mut Encoder) {
-        enc.u32(self.it);
-        enc.bool(self.finished);
-        enc.seq(self.iter_stats.len());
-        for s in &self.iter_stats {
-            s.save_state(enc);
+    /// Post-load checks and rebuilds: the progress must be one this job
+    /// can reach (iteration count, one statistics entry per completed
+    /// iteration, equal-length output arrays, monotone run boundaries
+    /// within them), and the current iteration's descriptors are
+    /// recomputed from the boundaries.
+    fn restored(&mut self) -> Result<(), SnapError> {
+        let (minors, majors, vals) = &self.prev;
+        if self.it > self.iterations
+            || self.finished != (self.it >= self.iterations)
+            || self.iter_stats.len() != self.it as usize
+            || majors.len() != minors.len()
+            || vals.len() != minors.len()
+            || !self.boundaries.is_sorted()
+            || self.boundaries.last().is_some_and(|&b| b > minors.len())
+        {
+            return Err(SnapError::BadValue);
         }
-        enc.u32s(&self.prev.0);
-        enc.u32s(&self.prev.1);
-        enc.f32s(&self.prev.2);
-        enc.seq(self.boundaries.len());
-        for &b in &self.boundaries {
-            enc.usize(b);
-        }
-        match &self.paused {
-            Some(st) => {
-                enc.u8(1);
-                st.save_state(enc);
-            }
-            None => enc.u8(0),
-        }
+        self.descriptors = self.run_descriptors();
+        Ok(())
     }
 
-    /// Rebuilds a run from bytes written by [`JobRun::save_state`],
-    /// validating every structural quantity against what `job` implies so
-    /// corrupt bytes yield a typed error, never a panic or a partially
-    /// restored state.
-    pub(crate) fn restore_state(
+    /// Serializes the run: its progress, then the paused iteration, if any.
+    pub(crate) fn save_run(&self, enc: &mut Encoder) {
+        self.save(enc);
+        snap::save_option(self.paused.as_ref(), enc);
+    }
+
+    /// Rebuilds a run of `job` on `pu` from bytes written by
+    /// [`JobRun::save_run`]: the progress overlays a fresh run, then a
+    /// paused iteration overlays the fresh state [`IterState::new`]
+    /// derives for the restored iteration. Corrupt bytes yield a typed
+    /// error, never a panic or a partially restored state.
+    pub(crate) fn restore(
         pu: &ProcessingUnit,
         job: PuJob,
         dec: &mut Decoder<'_>,
     ) -> Result<Self, SnapError> {
-        let iterations = iterations_needed(job.descriptors.len() as u64, pu.leaves() as u64);
-        let it = dec.u32()?;
-        let finished = dec.bool()?;
-        if it > iterations || finished != (it >= iterations) {
+        let mut run = Self::new(pu.leaves() as u64, job);
+        run.load(dec)?;
+        run.paused = snap::load_option(dec, || IterState::new(pu, &run.params()))?;
+        if run.paused.is_some() && run.finished {
             return Err(SnapError::BadValue);
-        }
-        let n_stats = dec.len_capped(88)?;
-        if n_stats != if finished { iterations } else { it } as usize {
-            return Err(SnapError::BadValue);
-        }
-        let iter_stats = (0..n_stats)
-            .map(|_| IterationStats::restore_state(dec))
-            .collect::<Result<Vec<_>, _>>()?;
-        let prev = (dec.u32s()?, dec.u32s()?, dec.f32s()?);
-        if prev.1.len() != prev.0.len() || prev.2.len() != prev.0.len() {
-            return Err(SnapError::BadValue);
-        }
-        let n_bounds = dec.len_capped(8)?;
-        let mut boundaries = Vec::with_capacity(n_bounds);
-        let mut last = 0usize;
-        for _ in 0..n_bounds {
-            let b = dec.usize()?;
-            if b < last || b > prev.0.len() {
-                return Err(SnapError::BadValue);
-            }
-            last = b;
-            boundaries.push(b);
-        }
-        let has_paused = match dec.u8()? {
-            0 => false,
-            1 => true,
-            _ => return Err(SnapError::BadValue),
-        };
-        if has_paused && finished {
-            return Err(SnapError::BadValue);
-        }
-        let mut run = Self {
-            job,
-            iterations,
-            it,
-            finished,
-            iter_stats,
-            prev,
-            boundaries,
-            descriptors: Vec::new(),
-            paused: None,
-        };
-        run.descriptors = run.run_descriptors();
-        if has_paused {
-            let st = IterState::restore_state(pu, &run.params(), dec)?;
-            run.paused = Some(st);
         }
         Ok(run)
     }
@@ -461,26 +429,19 @@ impl JobRun {
 /// never silently resume against different input data.
 pub(crate) fn job_fingerprint(job: &PuJob) -> u64 {
     let mut enc = Encoder::new();
-    enc.seq(job.descriptors.len());
-    for d in &job.descriptors {
-        d.save_state(&mut enc);
-    }
+    job.descriptors.save(&mut enc);
     match &job.source {
         JobSource::Csr(m) => {
             enc.u8(0);
-            enc.usize(m.nrows());
-            enc.usize(m.ncols());
-            enc.seq(m.row_ptr().len());
-            for &x in m.row_ptr() {
-                enc.usize(x);
-            }
-            enc.u32s(m.col_idx());
-            enc.f32s(m.values());
+            (m.nrows(), m.ncols()).save(&mut enc);
+            m.row_ptr().save(&mut enc);
+            m.col_idx().save(&mut enc);
+            m.values().save(&mut enc);
         }
         JobSource::ScaledCsc { rows, vals } => {
             enc.u8(1);
-            enc.u32s(rows);
-            enc.f32s(vals);
+            rows.save(&mut enc);
+            vals.save(&mut enc);
         }
         JobSource::Coo {
             minors,
@@ -488,21 +449,18 @@ pub(crate) fn job_fingerprint(job: &PuJob) -> u64 {
             vals,
         } => {
             enc.u8(2);
-            enc.u32s(minors);
-            enc.u32s(majors);
-            enc.f32s(vals);
+            minors.save(&mut enc);
+            majors.save(&mut enc);
+            vals.save(&mut enc);
         }
     }
     match &job.gate {
         Some(g) => {
             enc.u8(1);
             enc.u64(g.ptr_base);
-            enc.u64s(&g.blocks);
-            enc.seq(g.release_after.len());
-            for &r in &g.release_after {
-                enc.usize(r);
-            }
-            enc.opt_u64(g.vector_base);
+            g.blocks.save(&mut enc);
+            g.release_after.save(&mut enc);
+            g.vector_base.save(&mut enc);
         }
         None => enc.u8(0),
     }
@@ -606,15 +564,15 @@ mod tests {
             let mut run = JobRun::new(pu_a.leaves() as u64, transpose_job(m.clone(), 0));
             assert!(!run.run_until(&mut pu_a, Some(cut)));
             let mut enc = Encoder::new();
-            pu_a.save_unit_state(&mut enc);
-            run.save_state(&mut enc);
+            pu_a.save(&mut enc);
+            run.save_run(&mut enc);
             let bytes = enc.into_bytes();
 
             let mut pu_b = ProcessingUnit::new(&cfg);
             let mut dec = Decoder::new(&bytes);
-            pu_b.restore_unit_state(&mut dec).expect("unit restore");
-            let mut restored = JobRun::restore_state(&pu_b, transpose_job(m.clone(), 0), &mut dec)
-                .expect("run restore");
+            pu_b.load(&mut dec).expect("unit restore");
+            let mut restored =
+                JobRun::restore(&pu_b, transpose_job(m.clone(), 0), &mut dec).expect("run restore");
             assert!(dec.is_empty(), "trailing bytes at cut {cut}");
             assert!(restored.run_until(&mut pu_b, None));
             assert_eq!(direct, restored.finish(&pu_b), "cut {cut}");

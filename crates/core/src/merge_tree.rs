@@ -22,6 +22,8 @@
 
 use std::collections::VecDeque;
 
+use menda_dram::{Decoder, Encoder, Fixed, Snap, SnapError};
+
 /// A merge-tree data packet.
 ///
 /// The hardware packet carries a valid bit, 32-bit row index, 32-bit column
@@ -29,7 +31,7 @@ use std::collections::VecDeque;
 /// the indices are generalized to a (major, minor) sort key so the same
 /// tree serves transposition (major = column, minor = row) and SpMV
 /// (major = row).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub enum Packet {
     /// A nonzero element.
     Nz {
@@ -42,6 +44,7 @@ pub enum Packet {
         value: f32,
     },
     /// End-of-line marker: the sorted stream on this path has ended.
+    #[default]
     Eol,
 }
 
@@ -102,9 +105,13 @@ impl Packet {
             }
         }
     }
+}
 
-    /// Serializes one packet (tag byte + payload for nonzeros).
-    pub(crate) fn save_state(&self, enc: &mut menda_dram::Encoder) {
+/// A tagged enum: tag 0 and the nonzero's fields, or tag 1 for EOL.
+impl Snap for Packet {
+    const MIN_BYTES: usize = 1;
+
+    fn save(&self, enc: &mut Encoder) {
         match *self {
             Packet::Nz {
                 major,
@@ -112,27 +119,19 @@ impl Packet {
                 value,
             } => {
                 enc.u8(0);
-                enc.u32(major);
-                enc.u32(minor);
-                enc.f32(value);
+                (major, minor, value).save(enc);
             }
             Packet::Eol => enc.u8(1),
         }
     }
 
-    /// Decodes one packet saved by [`Packet::save_state`].
-    pub(crate) fn restore_state(
-        dec: &mut menda_dram::Decoder<'_>,
-    ) -> Result<Self, menda_dram::SnapError> {
-        match dec.u8()? {
-            0 => Ok(Packet::Nz {
-                major: dec.u32()?,
-                minor: dec.u32()?,
-                value: dec.f32()?,
-            }),
-            1 => Ok(Packet::Eol),
-            _ => Err(menda_dram::SnapError::BadValue),
-        }
+    fn load(&mut self, dec: &mut Decoder<'_>) -> Result<(), SnapError> {
+        *self = match dec.u8()? {
+            0 => Packet::nz(dec.u32()?, dec.u32()?, dec.f32()?),
+            1 => Packet::Eol,
+            _ => return Err(SnapError::BadValue),
+        };
+        Ok(())
     }
 }
 
@@ -258,37 +257,15 @@ impl ActiveSet {
         }
     }
 
-    /// Serializes the membership bitmask (each `u128` word as two `u64`
-    /// halves, low first).
-    pub(crate) fn save_state(&self, enc: &mut menda_dram::Encoder) {
-        enc.seq(self.words.len());
-        for &w in &self.words {
-            enc.u64(w as u64);
-            enc.u64((w >> 64) as u64);
-        }
-    }
-
-    /// Restores a bitmask saved by [`ActiveSet::save_state`] into a set of
-    /// the same universe; the any-member flag is recomputed from the words.
-    pub(crate) fn restore_state(
-        &mut self,
-        dec: &mut menda_dram::Decoder<'_>,
-    ) -> Result<(), menda_dram::SnapError> {
-        let n = dec.len_capped(16)?;
-        if n != self.words.len() {
-            return Err(menda_dram::SnapError::BadValue);
-        }
-        let mut any = false;
-        for w in self.words.iter_mut() {
-            let lo = dec.u64()?;
-            let hi = dec.u64()?;
-            *w = (lo as u128) | ((hi as u128) << 64);
-            any |= *w != 0;
-        }
-        self.any = any;
+    /// Post-load rebuild: the any-member flag follows the words.
+    fn restored(&mut self) -> Result<(), SnapError> {
+        self.any = self.words.iter().any(|&w| w != 0);
         Ok(())
     }
 }
+
+// The words keep the universe's length.
+menda_dram::snap_fields!(ActiveSet { words: fixed } after restored);
 
 /// The structural merge tree.
 ///
@@ -329,6 +306,16 @@ pub struct MergeTree {
     /// EOLs popped from the root (= completed merge rounds).
     rounds_completed: u64,
 }
+
+// The geometry (`leaves`, `fifo_cap`) comes from the freshly built tree.
+menda_dram::snap_fields!(MergeTree {
+    keys: fixed,
+    vals: fixed,
+    (save_ctrl, load_ctrl),
+    active,
+    pops,
+    rounds_completed,
+});
 
 impl MergeTree {
     /// Creates an `l`-leaf tree with the given per-FIFO capacity.
@@ -676,59 +663,30 @@ impl MergeTree {
         pulled
     }
 
-    /// Serializes the full FIFO slab and progress counters. The geometry
-    /// (`leaves`, `fifo_cap`) is not written — it is derived from the
-    /// configuration when the fresh tree is built for restore. The
-    /// packed control words are written as the two separate `u16`
-    /// head/occupancy arrays of the original snapshot format, so
+    /// Writes the packed control words as the two `u16` arrays of the
+    /// original snapshot format, ring heads then occupancies, so
     /// checkpoints stay byte-compatible across the packing.
-    pub(crate) fn save_state(&self, enc: &mut menda_dram::Encoder) {
-        enc.u64s(&self.keys);
-        enc.f32s(&self.vals);
-        let head: Vec<u16> = self.ctrl.iter().map(|&c| (c & 0xFFFF) as u16).collect();
-        let len: Vec<u16> = self.ctrl.iter().map(|&c| (c >> 16) as u16).collect();
-        enc.u16s(&head);
-        enc.u16s(&len);
-        self.active.save_state(enc);
-        enc.u64(self.pops);
-        enc.u64(self.rounds_completed);
+    fn save_ctrl(&self, enc: &mut Encoder) {
+        let half =
+            |shift: u32| -> Vec<u16> { self.ctrl.iter().map(|&c| (c >> shift) as u16).collect() };
+        half(0).save(enc);
+        half(16).save(enc);
     }
 
-    /// Restores state saved by [`MergeTree::save_state`] into a freshly
-    /// built tree of the same geometry. Slab lengths and ring indices are
-    /// validated against this tree's capacity, so corrupt bytes yield a
-    /// typed error instead of out-of-bounds indexing later.
-    pub(crate) fn restore_state(
-        &mut self,
-        dec: &mut menda_dram::Decoder<'_>,
-    ) -> Result<(), menda_dram::SnapError> {
-        use menda_dram::SnapError;
-        let keys = dec.u64s()?;
-        let vals = dec.f32s()?;
-        let head = dec.u16s()?;
-        let len = dec.u16s()?;
-        if keys.len() != self.keys.len()
-            || vals.len() != self.vals.len()
-            || head.len() != self.ctrl.len()
-            || len.len() != self.ctrl.len()
-        {
+    /// Reads what [`MergeTree::save_ctrl`] wrote, rejecting ring heads or
+    /// occupancies outside the FIFO capacity.
+    fn load_ctrl(&mut self, dec: &mut Decoder<'_>) -> Result<(), SnapError> {
+        let mut head = vec![0u16; self.ctrl.len()];
+        let mut len = head.clone();
+        head.load_fixed(dec)?;
+        len.load_fixed(dec)?;
+        let cap = self.fifo_cap;
+        if head.iter().any(|&h| h as usize >= cap) || len.iter().any(|&l| l as usize > cap) {
             return Err(SnapError::BadValue);
         }
-        if head.iter().any(|&h| h as usize >= self.fifo_cap)
-            || len.iter().any(|&l| l as usize > self.fifo_cap)
-        {
-            return Err(SnapError::BadValue);
+        for (c, (&h, &l)) in self.ctrl.iter_mut().zip(head.iter().zip(&len)) {
+            *c = h as u32 | ((l as u32) << 16);
         }
-        self.keys = keys;
-        self.vals = vals;
-        self.ctrl = head
-            .iter()
-            .zip(&len)
-            .map(|(&h, &l)| h as u32 | ((l as u32) << 16))
-            .collect();
-        self.active.restore_state(dec)?;
-        self.pops = dec.u64()?;
-        self.rounds_completed = dec.u64()?;
         Ok(())
     }
 

@@ -40,7 +40,7 @@
 //! ([`crate::SimOptions::fast_forward`]) are supported with bit-identical
 //! results, using the same quiescence-skip bound as the PU.
 
-use menda_dram::{Decoder, DramStats, Encoder, MemRequest, MemorySystem, ReqKind, SnapError};
+use menda_dram::{Decoder, DramStats, Encoder, MemRequest, MemorySystem, ReqKind, Snap, SnapError};
 use menda_trace::TraceReport;
 
 use crate::backend::AcceleratorBackend;
@@ -95,25 +95,27 @@ impl AcceleratorBackend for PimBackend {
         unit.take_trace_report()
     }
 
-    fn save_unit(&self, unit: &PimUnit, enc: &mut Encoder) {
-        unit.save_unit_state(enc);
-    }
-
-    fn restore_unit(&self, unit: &mut PimUnit, dec: &mut Decoder<'_>) -> Result<(), SnapError> {
-        unit.restore_unit_state(dec)
-    }
-
     fn save_run(&self, run: &PimRun, enc: &mut Encoder) {
-        run.save_state(enc);
+        run.save(enc);
     }
 
+    /// The run's progress anchors must point into the restored unit's
+    /// past, the bound a fresh run takes from it.
     fn restore_run(
         &self,
         unit: &PimUnit,
         job: PuJob,
         dec: &mut Decoder<'_>,
     ) -> Result<PimRun, SnapError> {
-        PimRun::restore_state(unit, job, dec)
+        let mut run = PimRun::new(unit, job);
+        run.load(dec)?;
+        if run.drive_id_base > unit.next_req_id
+            || run.start_cycle > unit.cycles
+            || run.phase_b_start > unit.cycles
+        {
+            return Err(SnapError::BadValue);
+        }
+        Ok(run)
     }
 }
 
@@ -138,6 +140,17 @@ pub struct PimUnit {
     trace_sorted: u64,
     trace_merged: u64,
 }
+
+menda_dram::snap_fields!(PimUnit {
+    cycles,
+    dram_tick_accum,
+    next_req_id,
+    trace_loads,
+    trace_stores,
+    trace_sorted,
+    trace_merged,
+    mem,
+} after restored);
 
 impl PimUnit {
     /// Creates a PIM rank with its own single-rank memory system,
@@ -267,39 +280,17 @@ impl PimUnit {
         self.cycles = cycle;
     }
 
-    /// Serializes the unit-level dynamic state: clocks, request ids, the
-    /// trace counters and the rank's DRAM simulator.
-    pub(crate) fn save_unit_state(&self, enc: &mut Encoder) {
-        enc.u64(self.cycles);
-        enc.u64(self.dram_tick_accum);
-        enc.u64(self.next_req_id);
-        enc.u64(self.trace_loads);
-        enc.u64(self.trace_stores);
-        enc.u64(self.trace_sorted);
-        enc.u64(self.trace_merged);
-        self.mem.save_state(enc);
-    }
-
-    /// Restores state saved by [`PimUnit::save_unit_state`] into a
-    /// freshly built unit of the same configuration.
-    pub(crate) fn restore_unit_state(&mut self, dec: &mut Decoder<'_>) -> Result<(), SnapError> {
-        self.cycles = dec.u64()?;
-        let accum = dec.u64()?;
-        if accum >= self.ticks.1 {
+    /// Post-load check: the clock-ratio accumulator is a remainder.
+    fn restored(&mut self) -> Result<(), SnapError> {
+        if self.dram_tick_accum >= self.ticks.1 {
             return Err(SnapError::BadValue);
         }
-        self.dram_tick_accum = accum;
-        self.next_req_id = dec.u64()?;
-        self.trace_loads = dec.u64()?;
-        self.trace_stores = dec.u64()?;
-        self.trace_sorted = dec.u64()?;
-        self.trace_merged = dec.u64()?;
-        self.mem.restore_state(dec)
+        Ok(())
     }
 }
 
-/// Where a [`PimRun`] stands in the two-phase execution pipeline. Tags
-/// are stable for serialization.
+/// Where a [`PimRun`] stands in the two-phase execution pipeline. The
+/// declaration order is the serialized tag order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum PimPhase {
     /// Phase A stream-in: DPU partition blocks plus the dispatcher's
@@ -320,30 +311,28 @@ enum PimPhase {
     Done,
 }
 
-impl PimPhase {
-    fn tag(self) -> u8 {
-        match self {
-            PimPhase::LoadStreams => 0,
-            PimPhase::SortBarrier => 1,
-            PimPhase::WriteRuns => 2,
-            PimPhase::ReadRuns => 3,
-            PimPhase::MergeBarrier => 4,
-            PimPhase::WriteOut => 5,
-            PimPhase::Done => 6,
-        }
+/// A tagged enum: one tag byte in declaration order.
+impl Snap for PimPhase {
+    const MIN_BYTES: usize = 1;
+
+    fn save(&self, enc: &mut Encoder) {
+        enc.u8(*self as u8);
     }
 
-    fn from_tag(tag: u8) -> Result<Self, SnapError> {
-        Ok(match tag {
-            0 => PimPhase::LoadStreams,
-            1 => PimPhase::SortBarrier,
-            2 => PimPhase::WriteRuns,
-            3 => PimPhase::ReadRuns,
-            4 => PimPhase::MergeBarrier,
-            5 => PimPhase::WriteOut,
-            6 => PimPhase::Done,
-            _ => return Err(SnapError::BadValue),
-        })
+    fn load(&mut self, dec: &mut Decoder<'_>) -> Result<(), SnapError> {
+        use PimPhase::*;
+        *self = *[
+            LoadStreams,
+            SortBarrier,
+            WriteRuns,
+            ReadRuns,
+            MergeBarrier,
+            WriteOut,
+            Done,
+        ]
+        .get(dec.u8()? as usize)
+        .ok_or(SnapError::BadValue)?;
+        Ok(())
     }
 }
 
@@ -396,6 +385,21 @@ pub struct PimRun {
     /// (phase A until `WriteRuns` completes, then phase B).
     dram_before: DramStats,
 }
+
+// Everything derived from the job comes from the fresh run, and a
+// trivial run has no arrival slots.
+menda_dram::snap_fields!(PimRun {
+    phase,
+    next,
+    drive_id_base,
+    arrivals: fixed,
+    merge_arrival: fixed,
+    it_a,
+    it_b,
+    start_cycle,
+    phase_b_start,
+    dram_before,
+} after restored);
 
 impl PimRun {
     /// Prepares a job for execution on `unit` without consuming cycles:
@@ -677,74 +681,20 @@ impl PimRun {
         }
     }
 
-    /// Serializes the dynamic state (derived data is recomputed at
-    /// restore).
-    pub(crate) fn save_state(&self, enc: &mut Encoder) {
-        enc.u8(self.phase.tag());
-        enc.usize(self.next);
-        enc.u64(self.drive_id_base);
-        enc.u64s(&self.arrivals);
-        enc.u64s(&self.merge_arrival);
-        self.it_a.save_state(enc);
-        self.it_b.save_state(enc);
-        enc.u64(self.start_cycle);
-        enc.u64(self.phase_b_start);
-        self.dram_before.save_state(enc);
-    }
-
-    /// Rebuilds a run from the job plus state saved by
-    /// [`PimRun::save_state`]. The unit must already be restored — the
-    /// request lists and the response-id mapping are validated against
-    /// the recomputed derived data, so corrupt payloads yield
-    /// [`SnapError`] rather than panics or out-of-range execution.
-    pub(crate) fn restore_state(
-        unit: &PimUnit,
-        job: PuJob,
-        dec: &mut Decoder<'_>,
-    ) -> Result<Self, SnapError> {
-        let mut run = PimRun::new(unit, job);
-        let phase = PimPhase::from_tag(dec.u8()?)?;
-        if run.trivial && phase != PimPhase::Done {
-            return Err(SnapError::BadValue);
-        }
-        run.phase = phase;
-        run.next = dec.usize()?;
-        let cursor_limit = match phase {
-            PimPhase::LoadStreams => run.reads.len(),
-            PimPhase::WriteRuns => run.run_blocks.len(),
-            PimPhase::ReadRuns => run.read_back.len(),
-            PimPhase::WriteOut => run.out_blocks.len(),
+    /// Post-load check: a trivial run is done, and the request cursor
+    /// lies within the current phase's request list.
+    fn restored(&mut self) -> Result<(), SnapError> {
+        let cursor_limit = match self.phase {
+            PimPhase::LoadStreams => self.reads.len(),
+            PimPhase::WriteRuns => self.run_blocks.len(),
+            PimPhase::ReadRuns => self.read_back.len(),
+            PimPhase::WriteOut => self.out_blocks.len(),
             PimPhase::SortBarrier | PimPhase::MergeBarrier | PimPhase::Done => 0,
         };
-        if run.next > cursor_limit {
+        if (self.trivial && self.phase != PimPhase::Done) || self.next > cursor_limit {
             return Err(SnapError::BadValue);
         }
-        run.drive_id_base = dec.u64()?;
-        if run.drive_id_base > unit.next_req_id {
-            return Err(SnapError::BadValue);
-        }
-        let arrivals = dec.u64s()?;
-        if !run.trivial && arrivals.len() != run.d + 1 {
-            return Err(SnapError::BadValue);
-        }
-        run.arrivals = arrivals;
-        let merge_arrival = dec.u64s()?;
-        if merge_arrival.len() != 1 {
-            return Err(SnapError::BadValue);
-        }
-        run.merge_arrival = merge_arrival;
-        run.it_a = IterationStats::restore_state(dec)?;
-        run.it_b = IterationStats::restore_state(dec)?;
-        run.start_cycle = dec.u64()?;
-        if run.start_cycle > unit.cycles {
-            return Err(SnapError::BadValue);
-        }
-        run.phase_b_start = dec.u64()?;
-        if run.phase_b_start > unit.cycles {
-            return Err(SnapError::BadValue);
-        }
-        run.dram_before.restore_state(dec)?;
-        Ok(run)
+        Ok(())
     }
 }
 

@@ -16,6 +16,8 @@
 use std::collections::VecDeque;
 use std::ops::Range;
 
+use menda_dram::{Decoder, Encoder, Snap, SnapError};
+
 use crate::layout::{AddressLayout, BLOCK_BYTES, IDX_BYTES};
 use crate::merge_tree::Packet;
 
@@ -61,40 +63,36 @@ pub struct StreamDescriptor {
     pub kind: StreamKind,
 }
 
-impl StreamKind {
-    /// Serializes the kind as a tag byte plus payload.
-    pub(crate) fn save_state(&self, enc: &mut menda_dram::Encoder) {
+/// A tagged enum: a tag byte in declaration order, then the payload.
+impl Snap for StreamKind {
+    const MIN_BYTES: usize = 2;
+
+    fn save(&self, enc: &mut Encoder) {
         match *self {
-            StreamKind::CsrRow { row } => {
-                enc.u8(0);
-                enc.u32(row);
-            }
-            StreamKind::Coo { region } => {
-                enc.u8(1);
-                enc.u8(region);
-            }
-            StreamKind::SpmvCol { scale } => {
-                enc.u8(2);
-                enc.f32(scale);
-            }
-            StreamKind::Pair { region } => {
-                enc.u8(3);
-                enc.u8(region);
-            }
+            StreamKind::CsrRow { row } => (0u8, row).save(enc),
+            StreamKind::Coo { region } => (1u8, region).save(enc),
+            StreamKind::SpmvCol { scale } => (2u8, scale).save(enc),
+            StreamKind::Pair { region } => (3u8, region).save(enc),
         }
     }
 
-    /// Decodes a kind saved by [`StreamKind::save_state`].
-    pub(crate) fn restore_state(
-        dec: &mut menda_dram::Decoder<'_>,
-    ) -> Result<Self, menda_dram::SnapError> {
-        Ok(match dec.u8()? {
+    fn load(&mut self, dec: &mut Decoder<'_>) -> Result<(), SnapError> {
+        *self = match dec.u8()? {
             0 => StreamKind::CsrRow { row: dec.u32()? },
             1 => StreamKind::Coo { region: dec.u8()? },
             2 => StreamKind::SpmvCol { scale: dec.f32()? },
             3 => StreamKind::Pair { region: dec.u8()? },
-            _ => return Err(menda_dram::SnapError::BadValue),
-        })
+            _ => return Err(SnapError::BadValue),
+        };
+        Ok(())
+    }
+}
+
+menda_dram::snap_fields!(StreamDescriptor { start, end, kind } after restored);
+
+impl Default for StreamDescriptor {
+    fn default() -> Self {
+        Self::empty()
     }
 }
 
@@ -108,28 +106,12 @@ impl StreamDescriptor {
         }
     }
 
-    /// Serializes the descriptor.
-    pub(crate) fn save_state(&self, enc: &mut menda_dram::Encoder) {
-        enc.u64(self.start);
-        enc.u64(self.end);
-        self.kind.save_state(enc);
-    }
-
-    /// Decodes a descriptor saved by [`StreamDescriptor::save_state`].
-    /// Rejects ranges whose end precedes their start.
-    pub(crate) fn restore_state(
-        dec: &mut menda_dram::Decoder<'_>,
-    ) -> Result<Self, menda_dram::SnapError> {
-        let start = dec.u64()?;
-        let end = dec.u64()?;
-        if end < start {
-            return Err(menda_dram::SnapError::BadValue);
+    /// Post-load check: a stream never ends before it starts.
+    fn restored(&mut self) -> Result<(), SnapError> {
+        if self.end < self.start {
+            return Err(SnapError::BadValue);
         }
-        Ok(Self {
-            start,
-            end,
-            kind: StreamKind::restore_state(dec)?,
-        })
+        Ok(())
     }
 
     /// Number of elements.
@@ -178,24 +160,33 @@ impl BlockList {
         self.len -= 1;
         self.items[pos] = self.items[self.len as usize];
     }
+}
 
-    fn save_state(&self, enc: &mut menda_dram::Encoder) {
+/// The length is one byte, then the live blocks.
+impl Snap for BlockList {
+    const MIN_BYTES: usize = 1;
+
+    fn save(&self, enc: &mut Encoder) {
         enc.u8(self.len);
-        for &b in self.iter() {
-            enc.u64(b);
-        }
+        self.iter().for_each(|b| b.save(enc));
     }
 
-    fn restore_state(dec: &mut menda_dram::Decoder<'_>) -> Result<Self, menda_dram::SnapError> {
-        let len = dec.u8()?;
-        if len as usize > Self::CAP {
-            return Err(menda_dram::SnapError::BadValue);
+    fn load(&mut self, dec: &mut Decoder<'_>) -> Result<(), SnapError> {
+        let len = dec.u8()? as usize;
+        if len > Self::CAP {
+            return Err(SnapError::BadValue);
         }
-        let mut list = Self::new();
+        *self = Self::new();
         for _ in 0..len {
-            list.push(dec.u64()?);
+            self.push(dec.u64()?);
         }
-        Ok(list)
+        Ok(())
+    }
+}
+
+impl Default for BlockList {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -244,12 +235,29 @@ pub enum FetchPlan {
     },
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct PendingChunk {
     elems: Range<u64>,
     awaiting: BlockList,
     last: bool,
 }
+
+impl PendingChunk {
+    /// Post-load check: the element range never ends before it starts.
+    fn restored(&mut self) -> Result<(), SnapError> {
+        if self.elems.end < self.elems.start {
+            return Err(SnapError::BadValue);
+        }
+        Ok(())
+    }
+}
+
+menda_dram::snap_fields!(PendingChunk {
+    elems.start,
+    elems.end,
+    awaiting,
+    last,
+} after restored);
 
 /// One prefetch buffer.
 #[derive(Debug, Clone)]
@@ -272,6 +280,16 @@ pub struct PrefetchBuffer {
     /// is unaffected.
     need_free: usize,
 }
+
+// Configuration fields (`id`, `capacity`, `max_fetch_blocks`, `prefetch`,
+// `layout`) come from the freshly built buffer; the held count is derived.
+menda_dram::snap_fields!(PrefetchBuffer {
+    streams,
+    current,
+    pending,
+    packets,
+    need_free,
+} after restored);
 
 impl PrefetchBuffer {
     /// Creates buffer `id` holding up to `capacity` nonzeros.
@@ -548,104 +566,21 @@ impl PrefetchBuffer {
         }
     }
 
-    /// Serializes the buffer's dynamic state. Configuration fields (`id`,
-    /// `capacity`, `max_fetch_blocks`, `prefetch`, `layout`) are not
-    /// written — the restore target is a freshly built buffer carrying
-    /// them already.
-    pub(crate) fn save_state(&self, enc: &mut menda_dram::Encoder) {
-        enc.seq(self.streams.len());
-        for d in &self.streams {
-            d.save_state(enc);
-        }
-        match &self.current {
-            Some((desc, next)) => {
-                enc.u8(1);
-                desc.save_state(enc);
-                enc.u64(*next);
-            }
-            None => enc.u8(0),
-        }
-        match &self.pending {
-            Some(chunk) => {
-                enc.u8(1);
-                enc.u64(chunk.elems.start);
-                enc.u64(chunk.elems.end);
-                chunk.awaiting.save_state(enc);
-                enc.bool(chunk.last);
-            }
-            None => enc.u8(0),
-        }
-        enc.seq(self.packets.len());
-        for pkt in &self.packets {
-            pkt.save_state(enc);
-        }
-        enc.usize(self.need_free);
-    }
-
-    /// Restores state saved by [`PrefetchBuffer::save_state`]. The held
-    /// nonzero count is recomputed from the restored packets rather than
-    /// trusted from the payload.
-    pub(crate) fn restore_state(
-        &mut self,
-        dec: &mut menda_dram::Decoder<'_>,
-    ) -> Result<(), menda_dram::SnapError> {
-        use menda_dram::SnapError;
-        let n_streams = dec.len_capped(17)?;
-        let mut streams = VecDeque::with_capacity(n_streams);
-        for _ in 0..n_streams {
-            streams.push_back(StreamDescriptor::restore_state(dec)?);
-        }
-        let current = match dec.u8()? {
-            0 => None,
-            1 => {
-                let desc = StreamDescriptor::restore_state(dec)?;
-                let next = dec.u64()?;
-                if next < desc.start || next > desc.end {
-                    return Err(SnapError::BadValue);
-                }
-                Some((desc, next))
-            }
-            _ => return Err(SnapError::BadValue),
-        };
-        let pending = match dec.u8()? {
-            0 => None,
-            1 => {
-                let start = dec.u64()?;
-                let end = dec.u64()?;
-                if end < start {
-                    return Err(SnapError::BadValue);
-                }
-                let awaiting = BlockList::restore_state(dec)?;
-                let last = dec.bool()?;
-                // A pending chunk only exists while a stream is active.
-                if current.is_none() {
-                    return Err(SnapError::BadValue);
-                }
-                Some(PendingChunk {
-                    elems: start..end,
-                    awaiting,
-                    last,
-                })
-            }
-            _ => return Err(SnapError::BadValue),
-        };
-        let n_packets = dec.len_capped(1)?;
-        let mut packets = VecDeque::with_capacity(n_packets);
-        let mut nz_held = 0usize;
-        for _ in 0..n_packets {
-            let pkt = Packet::restore_state(dec)?;
-            nz_held += usize::from(!pkt.is_eol());
-            packets.push_back(pkt);
-        }
-        if nz_held > self.capacity {
+    /// Post-load checks and rebuilds: the active stream's cursor lies in
+    /// its range, a pending chunk only exists while a stream is active,
+    /// and the held nonzero count — recomputed from the packets, never
+    /// read — fits the capacity.
+    fn restored(&mut self) -> Result<(), SnapError> {
+        let cursor_ok = self
+            .current
+            .is_none_or(|(desc, next)| (desc.start..=desc.end).contains(&next));
+        self.nz_held = self.packets.iter().filter(|p| !p.is_eol()).count();
+        if !cursor_ok
+            || (self.pending.is_some() && self.current.is_none())
+            || self.nz_held > self.capacity
+        {
             return Err(SnapError::BadValue);
         }
-        self.streams = streams;
-        self.current = current;
-        self.pending = pending;
-        self.packets = packets;
-        self.nz_held = nz_held;
-        self.need_free = dec.usize()?;
         Ok(())
     }
 }

@@ -4,7 +4,7 @@
 
 use std::collections::VecDeque;
 
-use menda_dram::{MemRequest, MemorySystem, ReqKind};
+use menda_dram::{MemRequest, MemorySystem, ReqKind, SnapError};
 use menda_sparse::CsrMatrix;
 use menda_trace::{Histogram, TraceConfig, TraceReport, Tracer};
 
@@ -230,6 +230,38 @@ pub(crate) struct IterState {
     pub(crate) dram_before: menda_dram::DramStats,
 }
 
+// The dynamic state of a paused iteration. Derived geometry and the
+// per-cycle scratch vectors are not written: geometry comes from the
+// fresh state `IterState::new` derives from the job, and the scratch
+// contents are dead between cycles (the loop only pauses at the top).
+menda_dram::snap_fields!(IterState {
+    tree,
+    buffers: fixed,
+    read_q,
+    write_q,
+    next_release,
+    ptr_blocks_arrived,
+    ptr_arrived_set: fixed,
+    ptr_next_issue,
+    ptr_outstanding,
+    out_minor,
+    out_major,
+    out_val,
+    boundaries,
+    bytes_accum,
+    stored_nzs,
+    ptr_cursor,
+    final_flush_pushed,
+    pending_ptr_blocks,
+    buf_active,
+    parked_buckets: fixed,
+    parked_need: fixed,
+    cycles,
+    last_key_in_run,
+    it,
+    dram_before,
+} after restored);
+
 impl IterState {
     /// Fresh start-of-iteration state for `pu` under `p`, mirroring what
     /// the original monolithic loop set up before its first cycle.
@@ -313,155 +345,30 @@ impl IterState {
         }
     }
 
-    /// Serializes the dynamic state of a paused iteration. Derived
-    /// geometry and the per-cycle scratch vectors are skipped: geometry is
-    /// recomputed from the job at restore, and the scratch contents are
-    /// dead between cycles (the loop only pauses at the top).
-    pub(crate) fn save_state(&self, enc: &mut menda_dram::Encoder) {
-        self.tree.save_state(enc);
-        enc.seq(self.buffers.len());
-        for b in &self.buffers {
-            b.save_state(enc);
-        }
-        self.read_q.save_state(enc);
-        enc.seq(self.write_q.len());
-        for &w in &self.write_q {
-            enc.u64(w);
-        }
-        enc.usize(self.next_release);
-        enc.usize(self.ptr_blocks_arrived);
-        enc.seq(self.ptr_arrived_set.len());
-        for &a in &self.ptr_arrived_set {
-            enc.bool(a);
-        }
-        enc.usize(self.ptr_next_issue);
-        enc.usize(self.ptr_outstanding);
-        enc.u32s(&self.out_minor);
-        enc.u32s(&self.out_major);
-        enc.f32s(&self.out_val);
-        enc.seq(self.boundaries.len());
-        for &b in &self.boundaries {
-            enc.usize(b);
-        }
-        enc.u64(self.bytes_accum);
-        enc.u64(self.stored_nzs);
-        enc.u64(self.ptr_cursor);
-        enc.usize(self.final_flush_pushed);
-        enc.u64(self.pending_ptr_blocks);
-        self.buf_active.save_state(enc);
-        enc.seq(self.parked_buckets.len());
-        for &w in &self.parked_buckets {
-            enc.u64(w as u64);
-            enc.u64((w >> 64) as u64);
-        }
-        enc.u32s(&self.parked_need);
-        enc.u64(self.cycles);
-        match self.last_key_in_run {
-            Some((major, minor)) => {
-                enc.u8(1);
-                enc.u32(major);
-                enc.u32(minor);
-            }
-            None => enc.u8(0),
-        }
-        self.it.save_state(enc);
-        self.dram_before.save_state(enc);
-    }
-
-    /// Rebuilds a paused iteration from bytes written by
-    /// [`IterState::save_state`]: starts from the fresh state
-    /// [`IterState::new`] derives from the job, then overlays the dynamic
-    /// payload, validating every structural quantity against the derived
-    /// geometry so corrupt bytes yield a typed error, never a panic or a
-    /// partially restored state.
-    pub(crate) fn restore_state(
-        pu: &ProcessingUnit,
-        p: &IterParams<'_>,
-        dec: &mut menda_dram::Decoder<'_>,
-    ) -> Result<Self, menda_dram::SnapError> {
-        use menda_dram::SnapError;
-        let mut st = IterState::new(pu, p);
-        st.tree.restore_state(dec)?;
-        let n_buffers = dec.len_capped(1)?;
-        if n_buffers != st.buffers.len() {
-            return Err(SnapError::BadValue);
-        }
-        for b in st.buffers.iter_mut() {
-            b.restore_state(dec)?;
-        }
-        st.read_q.restore_state(dec)?;
-        let n_writes = dec.len_capped(8)?;
-        st.write_q = (0..n_writes).map(|_| dec.u64()).collect::<Result<_, _>>()?;
-        st.next_release = dec.usize()?;
-        if st.next_release > st.padded {
-            return Err(SnapError::BadValue);
-        }
-        st.ptr_blocks_arrived = dec.usize()?;
-        let n_arrived = dec.len_capped(1)?;
-        if n_arrived != st.ptr_arrived_set.len() || st.ptr_blocks_arrived > n_arrived {
-            return Err(SnapError::BadValue);
-        }
-        for a in st.ptr_arrived_set.iter_mut() {
-            *a = dec.bool()?;
-        }
-        st.ptr_next_issue = dec.usize()?;
-        st.ptr_outstanding = dec.usize()?;
-        if st.ptr_next_issue > st.ptr_arrived_set.len() || st.ptr_outstanding > st.ptr_next_issue {
-            return Err(SnapError::BadValue);
-        }
-        st.out_minor = dec.u32s()?;
-        st.out_major = dec.u32s()?;
-        st.out_val = dec.f32s()?;
-        if st.out_minor.len() != st.out_major.len() || st.out_val.len() != st.out_major.len() {
-            return Err(SnapError::BadValue);
-        }
-        let n_bounds = dec.len_capped(8)?;
-        st.boundaries = Vec::with_capacity(n_bounds);
-        for _ in 0..n_bounds {
-            let b = dec.usize()?;
-            if b > st.out_major.len() {
-                return Err(SnapError::BadValue);
-            }
-            st.boundaries.push(b);
-        }
-        st.bytes_accum = dec.u64()?;
-        st.stored_nzs = dec.u64()?;
-        st.ptr_cursor = dec.u64()?;
-        st.final_flush_pushed = dec.usize()?;
-        if st.final_flush_pushed > st.out_bases.len() {
-            return Err(SnapError::BadValue);
-        }
-        st.pending_ptr_blocks = dec.u64()?;
-        st.buf_active.restore_state(dec)?;
-        let n_parked = dec.len_capped(16)?;
-        if n_parked != st.parked_buckets.len() {
-            return Err(SnapError::BadValue);
-        }
-        for w in st.parked_buckets.iter_mut() {
-            let lo = dec.u64()?;
-            let hi = dec.u64()?;
-            *w = (lo as u128) | ((hi as u128) << 64);
-        }
-        st.parked_need = dec.u32s()?;
-        if st.parked_need.len() != pu.pu_cfg.leaves
-            || st.parked_need.iter().any(|&n| n as usize > st.need_cap)
+    /// Post-load checks and rebuilds: every cursor, count and output
+    /// index is validated against the derived geometry, so corrupt bytes
+    /// yield a typed error rather than a later panic. The parked-member
+    /// count comes from the restored buckets, and the union cache starts
+    /// invalid (the next use rebuilds it from the buckets — same words
+    /// either way).
+    fn restored(&mut self) -> Result<(), SnapError> {
+        let arrived = self.ptr_arrived_set.len();
+        let outputs = self.out_major.len();
+        if self.next_release > self.padded
+            || self.ptr_blocks_arrived > arrived
+            || self.ptr_next_issue > arrived
+            || self.ptr_outstanding > self.ptr_next_issue
+            || self.out_minor.len() != outputs
+            || self.out_val.len() != outputs
+            || self.boundaries.iter().any(|&b| b > outputs)
+            || self.final_flush_pushed > self.out_bases.len()
+            || self.parked_need.iter().any(|&n| n as usize > self.need_cap)
         {
             return Err(SnapError::BadValue);
         }
-        // Derived cache state: the member count comes from the restored
-        // buckets and the union cache starts invalid (the next use rebuilds
-        // it from the buckets — same words either way).
-        st.parked_count = st.parked_need.iter().filter(|&&n| n != 0).count();
-        st.union_avail = usize::MAX;
-        st.cycles = dec.u64()?;
-        st.last_key_in_run = match dec.u8()? {
-            0 => None,
-            1 => Some((dec.u32()?, dec.u32()?)),
-            _ => return Err(SnapError::BadValue),
-        };
-        st.it = IterationStats::restore_state(dec)?;
-        st.dram_before.restore_state(dec)?;
-        Ok(st)
+        self.parked_count = self.parked_need.iter().filter(|&&n| n != 0).count();
+        self.union_avail = usize::MAX;
+        Ok(())
     }
 }
 
@@ -625,6 +532,12 @@ pub struct ProcessingUnit {
     trace: Option<PuTraceState>,
 }
 
+menda_dram::snap_fields!(ProcessingUnit {
+    dram_tick_accum,
+    next_req_id,
+    mem,
+} after restored);
+
 impl ProcessingUnit {
     /// Creates a PU with its own single-rank memory system. Only the
     /// per-PU parts of `config` are kept (the PU parameters and the rank's
@@ -645,6 +558,16 @@ impl ProcessingUnit {
             pu_cfg: config.pu.clone(),
             ticks: config.dram_ticks_ratio(),
         }
+    }
+
+    /// Post-load check: the clock-ratio accumulator is a remainder (the
+    /// fast-forward skip bound subtracts it from a span of at least one
+    /// DRAM cycle).
+    fn restored(&mut self) -> Result<(), SnapError> {
+        if self.dram_tick_accum >= self.ticks.1 {
+            return Err(SnapError::BadValue);
+        }
+        Ok(())
     }
 
     /// Merge-tree leaf count of this PU.
@@ -675,26 +598,6 @@ impl ProcessingUnit {
     /// [`menda_dram::validate_trace`] to check protocol compliance.
     pub fn dram_command_log(&self) -> &[menda_dram::CommandRecord] {
         self.mem.command_log(0)
-    }
-
-    /// Serializes the PU-level dynamic state outside any iteration: the
-    /// DRAM clock-ratio accumulator, the request-id counter, and the full
-    /// state of the rank's memory system.
-    pub(crate) fn save_unit_state(&self, enc: &mut menda_dram::Encoder) {
-        enc.u64(self.dram_tick_accum);
-        enc.u64(self.next_req_id);
-        self.mem.save_state(enc);
-    }
-
-    /// Restores state saved by [`ProcessingUnit::save_unit_state`] into a
-    /// freshly built PU of the same configuration.
-    pub(crate) fn restore_unit_state(
-        &mut self,
-        dec: &mut menda_dram::Decoder<'_>,
-    ) -> Result<(), menda_dram::SnapError> {
-        self.dram_tick_accum = dec.u64()?;
-        self.next_req_id = dec.u64()?;
-        self.mem.restore_state(dec)
     }
 
     /// Transposes `part` (a horizontal partition whose local row 0 is
@@ -1440,6 +1343,22 @@ mod tests {
 
     fn small_config() -> MendaConfig {
         MendaConfig::small_test()
+    }
+
+    #[test]
+    fn restore_rejects_a_tick_accumulator_past_the_clock_ratio() {
+        use menda_dram::{Decoder, Encoder, Snap};
+        let restore = |accum: u64| {
+            let mut pu = ProcessingUnit::new(&small_config());
+            pu.dram_tick_accum = accum;
+            let mut enc = Encoder::new();
+            pu.save(&mut enc);
+            let bytes = enc.into_bytes();
+            ProcessingUnit::new(&small_config()).load(&mut Decoder::new(&bytes))
+        };
+        let den = ProcessingUnit::new(&small_config()).ticks.1;
+        assert_eq!(restore(den - 1), Ok(()));
+        assert_eq!(restore(den), Err(SnapError::BadValue));
     }
 
     fn check_transpose(m: &CsrMatrix) {

@@ -43,41 +43,21 @@ impl IterationStats {
         }
         self.dram_row_conflicts as f64 / total as f64
     }
-
-    /// Serializes every counter for checkpointing.
-    pub(crate) fn save_state(&self, enc: &mut menda_dram::Encoder) {
-        enc.u64(self.cycles);
-        enc.u64(self.nz_emitted);
-        enc.u64(self.rounds);
-        enc.u64(self.loads_issued);
-        enc.u64(self.loads_coalesced);
-        enc.u64(self.stores_issued);
-        enc.u64(self.root_stall_cycles);
-        enc.u64(self.output_stall_cycles);
-        enc.u64(self.dram_row_hits);
-        enc.u64(self.dram_row_misses);
-        enc.u64(self.dram_row_conflicts);
-    }
-
-    /// Restores counters saved by [`IterationStats::save_state`].
-    pub(crate) fn restore_state(
-        dec: &mut menda_dram::Decoder<'_>,
-    ) -> Result<Self, menda_dram::SnapError> {
-        Ok(Self {
-            cycles: dec.u64()?,
-            nz_emitted: dec.u64()?,
-            rounds: dec.u64()?,
-            loads_issued: dec.u64()?,
-            loads_coalesced: dec.u64()?,
-            stores_issued: dec.u64()?,
-            root_stall_cycles: dec.u64()?,
-            output_stall_cycles: dec.u64()?,
-            dram_row_hits: dec.u64()?,
-            dram_row_misses: dec.u64()?,
-            dram_row_conflicts: dec.u64()?,
-        })
-    }
 }
+
+menda_dram::snap_fields!(IterationStats {
+    cycles,
+    nz_emitted,
+    rounds,
+    loads_issued,
+    loads_coalesced,
+    stores_issued,
+    root_stall_cycles,
+    output_stall_cycles,
+    dram_row_hits,
+    dram_row_misses,
+    dram_row_conflicts,
+});
 
 /// Statistics of a complete multi-iteration execution on one PU.
 #[derive(Debug, Clone, Default, PartialEq)]

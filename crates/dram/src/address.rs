@@ -1,7 +1,7 @@
 use crate::Organization;
 
 /// Decoded DRAM coordinates of a physical address.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct DramCoord {
     /// Channel index.
     pub channel: usize,
@@ -16,6 +16,16 @@ pub struct DramCoord {
     /// Column (cache-line) index within the row.
     pub column: usize,
 }
+
+// Bounds are checked where the organization is known (the channel).
+crate::snap_fields!(DramCoord {
+    channel,
+    rank,
+    bank_group,
+    bank,
+    row,
+    column,
+});
 
 impl DramCoord {
     /// Flat bank identifier within a channel

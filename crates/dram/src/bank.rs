@@ -223,41 +223,14 @@ impl BankArray {
     }
 }
 
-impl BankArray {
-    /// Serializes every bank's dynamic state.
-    pub(crate) fn save_state(&self, enc: &mut crate::snap::Encoder) {
-        enc.u64s(&self.open_row.iter().map(|&r| r as u64).collect::<Vec<_>>());
-        enc.u64s(&self.next_act);
-        enc.u64s(&self.next_rd);
-        enc.u64s(&self.next_wr);
-        enc.u64s(&self.next_pre);
-    }
-
-    /// Restores bank state saved by [`BankArray::save_state`]. The array
-    /// must have been freshly built for the same organization.
-    pub(crate) fn restore_state(
-        &mut self,
-        dec: &mut crate::snap::Decoder<'_>,
-    ) -> Result<(), crate::snap::SnapError> {
-        let open = dec.u64s()?;
-        let act = dec.u64s()?;
-        let rd = dec.u64s()?;
-        let wr = dec.u64s()?;
-        let pre = dec.u64s()?;
-        if [&open, &act, &rd, &wr, &pre]
-            .iter()
-            .any(|v| v.len() != self.open_row.len())
-        {
-            return Err(crate::snap::SnapError::BadValue);
-        }
-        self.open_row = open.into_iter().map(|r| r as usize).collect();
-        self.next_act = act;
-        self.next_rd = rd;
-        self.next_wr = wr;
-        self.next_pre = pre;
-        Ok(())
-    }
-}
+// Every array keeps the organization's bank count.
+crate::snap_fields!(BankArray {
+    open_row: fixed,
+    next_act: fixed,
+    next_rd: fixed,
+    next_wr: fixed,
+    next_pre: fixed,
+});
 
 /// Per-rank shared timing state: `tRRD`/`tFAW` activation throttling,
 /// CAS-to-CAS (`tCCD`) spacing, write-to-read turnaround and refresh
@@ -367,7 +340,25 @@ impl RankState {
     pub fn refresh_overdue(&self, now: u64, t: &DramTiming, intervals: u64) -> bool {
         now >= self.refresh_due + intervals * t.t_refi
     }
+
+    /// Post-load check: the `tFAW` window holds at most four ACTs.
+    fn restored(&mut self) -> Result<(), crate::snap::SnapError> {
+        if self.faw_window.len() > 4 {
+            return Err(crate::snap::SnapError::BadValue);
+        }
+        Ok(())
+    }
 }
+
+crate::snap_fields!(RankState {
+    faw_window,
+    last_act,
+    last_cas,
+    next_rd,
+    next_wr,
+    refresh_due,
+    ready_at,
+} after restored);
 
 #[cfg(test)]
 mod tests {

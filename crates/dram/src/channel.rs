@@ -8,6 +8,7 @@ use crate::checker::ProtocolChecker;
 use crate::command::{CommandKind, CommandRecord};
 use crate::config::RowPolicy;
 use crate::scheduler::{Candidate, NeededCommand};
+use crate::snap::{Decoder, Encoder, Snap, SnapError};
 use crate::trace::ChannelTracer;
 use crate::{
     BankArray, BankState, DramConfig, DramCoord, DramStats, MemRequest, MemResponse, ReqKind,
@@ -19,7 +20,7 @@ use crate::{
 const REFRESH_POSTPONE_INTERVALS: u64 = 8;
 
 /// A request resident in a channel queue.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Queued {
     req: MemRequest,
     coord: DramCoord,
@@ -31,6 +32,14 @@ struct Queued {
     /// Whether the row hit/miss/conflict outcome was already recorded.
     classified: bool,
 }
+
+crate::snap_fields!(Queued {
+    req,
+    coord,
+    enq_at,
+    seq,
+    classified,
+});
 
 /// Per-bank request index for one queue (read or write).
 ///
@@ -188,6 +197,30 @@ pub struct ChannelController {
     /// divisions there. Derived from config, never serialized.
     bank_coord: Vec<(u16, u16)>,
 }
+
+// Everything config-derived (queue capacities, the bank-coordinate table,
+// the tracer) comes from the freshly built controller; the queue indexes
+// and the skip bound are rebuilt by `restored`.
+crate::snap_fields!(ChannelController {
+    banks,
+    ranks: fixed,
+    refresh_pending: fixed,
+    refresh_next_due,
+    refresh_pending_count,
+    read_q,
+    read_ix.next_seq,
+    write_q,
+    write_ix.next_seq,
+    (save_responses, load_responses),
+    now,
+    bus_free_at,
+    draining_writes,
+    stats,
+    command_log,
+    pending_autopre,
+    checker: fixed,
+    sched_sleep_until,
+} after restored);
 
 impl ChannelController {
     /// Creates a controller for one channel of `config`.
@@ -1066,260 +1099,78 @@ impl ChannelController {
         );
     }
 
-    /// Serializes the channel's complete dynamic state: bank/rank timing
-    /// shadow, refresh bookkeeping, both request queues (with their index
-    /// sequence counters), in-flight responses in retirement order, stats,
-    /// command log, buffered auto-precharges, live-checker shadow state and
-    /// the scheduler sleep cache. Everything config-derived (mapper,
-    /// queue capacities, tracer) is rebuilt from the config at restore.
-    pub fn save_state(&self, enc: &mut crate::snap::Encoder) {
-        self.banks.save_state(enc);
-        enc.seq(self.ranks.len());
-        for r in &self.ranks {
-            enc.u64s(&r.faw_window);
-            save_opt_pair(enc, r.last_act);
-            save_opt_pair(enc, r.last_cas);
-            enc.u64(r.next_rd);
-            enc.u64(r.next_wr);
-            enc.u64(r.refresh_due);
-            enc.u64(r.ready_at);
-        }
-        enc.seq(self.refresh_pending.len());
-        for &p in &self.refresh_pending {
-            enc.bool(p);
-        }
-        enc.u64(self.refresh_next_due);
-        enc.usize(self.refresh_pending_count);
-        save_queue(enc, &self.read_q);
-        enc.u64(self.read_ix.next_seq);
-        save_queue(enc, &self.write_q);
-        enc.u64(self.write_ix.next_seq);
-        // Responses leave in (done_at, seq) order; serializing them in that
-        // order lets restore re-assign dense sequence numbers 0..n while
-        // preserving the exact tie-breaking the original heap would use.
+    /// Writes the in-flight responses in retirement order, `(done_at,
+    /// seq)`. Restore renumbers them densely in that order, which keeps
+    /// the exact tie-breaking of the original heap.
+    fn save_responses(&self, enc: &mut Encoder) {
         let mut heap = self.responses.clone();
-        enc.seq(heap.len());
-        while let Some(Reverse((_, seq))) = heap.pop() {
-            let resp = self.response_data[seq as usize].expect("heap entry has data");
-            enc.u64(resp.id);
-            enc.u64(resp.addr);
-            enc.u8((resp.kind == ReqKind::Write) as u8);
-            enc.u64(resp.done_at);
-        }
-        enc.u64(self.now);
-        enc.u64(self.bus_free_at);
-        enc.bool(self.draining_writes);
-        self.stats.save_state(enc);
-        enc.seq(self.command_log.len());
-        for r in &self.command_log {
-            save_record(enc, r);
-        }
-        enc.seq(self.pending_autopre.len());
-        for r in &self.pending_autopre {
-            save_record(enc, r);
-        }
-        match &self.checker {
-            Some(c) => {
-                enc.bool(true);
-                c.save_state(enc);
-            }
-            None => enc.bool(false),
-        }
-        enc.u64(self.sched_sleep_until);
+        let in_order: Vec<MemResponse> = std::iter::from_fn(|| heap.pop())
+            .map(|Reverse((_, seq))| self.response_data[seq as usize].expect("heap entry has data"))
+            .collect();
+        in_order.save(enc);
     }
 
-    /// Restores state saved by [`ChannelController::save_state`] onto a
-    /// controller freshly built from the *same* config. The per-bank
-    /// queue indexes are rebuilt from the restored queues (selection is
-    /// min-over-seq, so index-internal ordering is behavior-neutral).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`crate::snap::SnapError`] on truncated or out-of-domain
-    /// bytes (including coordinates that don't fit this config's
-    /// organization, and structural inconsistencies like unsorted queue
-    /// sequence numbers). On error the controller is left unspecified and
-    /// must be discarded — no partial restore is ever used.
-    pub fn restore_state(
-        &mut self,
-        dec: &mut crate::snap::Decoder<'_>,
-    ) -> Result<(), crate::snap::SnapError> {
-        use crate::snap::SnapError;
-        self.banks.restore_state(dec)?;
-        let n_ranks = dec.len_capped(1)?;
-        if n_ranks != self.ranks.len() {
-            return Err(SnapError::BadValue);
-        }
-        for r in &mut self.ranks {
-            let faw = dec.u64s()?;
-            if faw.len() > 4 {
-                return Err(SnapError::BadValue);
-            }
-            r.faw_window = faw;
-            r.last_act = load_opt_pair(dec)?;
-            r.last_cas = load_opt_pair(dec)?;
-            r.next_rd = dec.u64()?;
-            r.next_wr = dec.u64()?;
-            r.refresh_due = dec.u64()?;
-            r.ready_at = dec.u64()?;
-        }
-        let n_rp = dec.len_capped(1)?;
-        if n_rp != self.refresh_pending.len() {
-            return Err(SnapError::BadValue);
-        }
-        for p in &mut self.refresh_pending {
-            *p = dec.bool()?;
-        }
-        self.refresh_next_due = dec.u64()?;
-        self.refresh_pending_count = dec.usize()?;
-        if self.refresh_pending_count > self.ranks.len() {
-            return Err(SnapError::BadValue);
-        }
-        self.read_q = self.load_queue(dec)?;
-        let read_next_seq = dec.u64()?;
-        self.write_q = self.load_queue(dec)?;
-        let write_next_seq = dec.u64()?;
-        let nbanks = self.banks.len();
-        self.read_ix = QueueIndex::new(nbanks);
-        self.read_ix.next_seq = read_next_seq;
-        self.write_ix = QueueIndex::new(nbanks);
-        self.write_ix.next_seq = write_next_seq;
-        for i in 0..self.read_q.len() {
-            let q = self.read_q[i];
-            if i > 0 && self.read_q[i - 1].seq >= q.seq || q.seq >= read_next_seq {
-                return Err(SnapError::BadValue);
-            }
-            let flat = self.flat_bank(&q.coord);
-            let open = self.banks.open_row(flat);
-            self.read_ix.reinsert(flat, q.seq, q.coord.row, open);
-        }
-        for i in 0..self.write_q.len() {
-            let q = self.write_q[i];
-            if i > 0 && self.write_q[i - 1].seq >= q.seq || q.seq >= write_next_seq {
-                return Err(SnapError::BadValue);
-            }
-            let flat = self.flat_bank(&q.coord);
-            let open = self.banks.open_row(flat);
-            self.write_ix.reinsert(flat, q.seq, q.coord.row, open);
-        }
-        let n_resp = dec.len_capped(25)?;
-        self.responses = BinaryHeap::new();
-        self.response_data = Vec::new();
+    /// Reads what [`Self::save_responses`] wrote back into the heap.
+    fn load_responses(&mut self, dec: &mut Decoder<'_>) -> Result<(), SnapError> {
+        let mut in_order: Vec<MemResponse> = Vec::new();
+        in_order.load(dec)?;
+        self.responses.clear();
+        self.response_data.clear();
         self.response_seq = 0;
-        for _ in 0..n_resp {
-            let id = dec.u64()?;
-            let addr = dec.u64()?;
-            let kind = match dec.u8()? {
-                0 => ReqKind::Read,
-                1 => ReqKind::Write,
-                _ => return Err(SnapError::BadValue),
-            };
-            let done_at = dec.u64()?;
-            self.push_response(MemResponse {
-                id,
-                addr,
-                kind,
-                done_at,
-            });
-        }
-        self.now = dec.u64()?;
-        self.bus_free_at = dec.u64()?;
-        self.draining_writes = dec.bool()?;
-        self.stats.restore_state(dec)?;
-        let n_log = dec.len_capped(57)?;
-        self.command_log = Vec::with_capacity(n_log);
-        for _ in 0..n_log {
-            let r = self.load_record(dec)?;
-            self.command_log.push(r);
-        }
-        let n_ap = dec.len_capped(57)?;
-        self.pending_autopre = Vec::with_capacity(n_ap);
-        for _ in 0..n_ap {
-            let r = self.load_record(dec)?;
-            self.pending_autopre.push(r);
-        }
-        if dec.bool()? != self.checker.is_some() {
+        in_order.into_iter().for_each(|r| self.push_response(r));
+        Ok(())
+    }
+
+    /// Post-load checks and rebuilds. Every coordinate must fit this
+    /// config's organization (out-of-range ones would panic on later
+    /// bank/rank indexing); the refresh counters must equal what they
+    /// summarize; each queue must be strictly sorted by sequence number
+    /// below its counter. The per-bank queue indexes and the skip bound
+    /// are then rebuilt from the loaded state (selection is min-over-seq,
+    /// so index-internal ordering is behavior-neutral).
+    fn restored(&mut self) -> Result<(), SnapError> {
+        let queued = self.read_q.iter().chain(&self.write_q).map(|q| &q.coord);
+        let logged = self.command_log.iter().chain(&self.pending_autopre);
+        if !queued.chain(logged.map(|r| &r.coord)).all(|c| self.fits(c)) {
             return Err(SnapError::BadValue);
         }
-        if let Some(c) = self.checker.as_mut() {
-            c.restore_state(dec)?;
+        let pending = self.refresh_pending.iter().filter(|&&p| p).count();
+        let next_due = self.ranks.iter().map(|r| r.refresh_due).min();
+        if self.refresh_pending_count != pending
+            || self.refresh_next_due != next_due.unwrap_or(u64::MAX)
+        {
+            return Err(SnapError::BadValue);
         }
-        self.sched_sleep_until = dec.u64()?;
-        // Derived skip-bound cache: re-derive lazily rather than persist.
+        self.read_ix = self.index_of(&self.read_q, self.read_ix.next_seq)?;
+        self.write_ix = self.index_of(&self.write_q, self.write_ix.next_seq)?;
         self.event_bound = 0;
         Ok(())
     }
 
-    /// Decodes one queue, validating every coordinate against this
-    /// config's organization (out-of-range coordinates would panic on
-    /// later bank/rank indexing, which corrupt bytes must never do).
-    fn load_queue(
-        &self,
-        dec: &mut crate::snap::Decoder<'_>,
-    ) -> Result<VecDeque<Queued>, crate::snap::SnapError> {
-        use crate::snap::SnapError;
-        let n = dec.len_capped(82)?;
-        let mut q = VecDeque::with_capacity(n);
-        for _ in 0..n {
-            let addr = dec.u64()?;
-            let kind = match dec.u8()? {
-                0 => ReqKind::Read,
-                1 => ReqKind::Write,
-                _ => return Err(SnapError::BadValue),
-            };
-            let id = dec.u64()?;
-            let coord = self.load_coord(dec)?;
-            q.push_back(Queued {
-                req: MemRequest { addr, kind, id },
-                coord,
-                enq_at: dec.u64()?,
-                seq: dec.u64()?,
-                classified: dec.bool()?,
-            });
-        }
-        Ok(q)
+    /// Whether a coordinate names a bank of this config's organization.
+    fn fits(&self, c: &DramCoord) -> bool {
+        let org = &self.config.org;
+        c.rank < self.ranks.len()
+            && c.bank_group < org.banks_per_rank() / org.banks_per_group
+            && c.bank < org.banks_per_group
+            && self.flat_bank(c) < self.banks.len()
     }
 
-    /// Decodes a coordinate, rejecting anything outside this config's
-    /// organization.
-    fn load_coord(
-        &self,
-        dec: &mut crate::snap::Decoder<'_>,
-    ) -> Result<DramCoord, crate::snap::SnapError> {
-        let c = DramCoord {
-            channel: dec.usize()?,
-            rank: dec.usize()?,
-            bank_group: dec.usize()?,
-            bank: dec.usize()?,
-            row: dec.usize()?,
-            column: dec.usize()?,
-        };
-        if c.rank >= self.ranks.len()
-            || c.bank_group >= self.config.org.banks_per_rank() / self.config.org.banks_per_group
-            || c.bank >= self.config.org.banks_per_group
-            || self.flat_bank(&c) >= self.banks.len()
-        {
-            return Err(crate::snap::SnapError::BadValue);
+    /// Rebuilds the per-bank index of a restored queue, which must be
+    /// strictly sorted by sequence number, every one below `next_seq`.
+    fn index_of(&self, queue: &VecDeque<Queued>, next_seq: u64) -> Result<QueueIndex, SnapError> {
+        let mut ix = QueueIndex::new(self.banks.len());
+        ix.next_seq = next_seq;
+        let mut prev = None;
+        for q in queue {
+            if prev.is_some_and(|p| p >= q.seq) || q.seq >= next_seq {
+                return Err(SnapError::BadValue);
+            }
+            prev = Some(q.seq);
+            let flat = self.flat_bank(&q.coord);
+            ix.reinsert(flat, q.seq, q.coord.row, self.banks.open_row(flat));
         }
-        Ok(c)
-    }
-
-    /// Decodes one command record with coordinate validation.
-    fn load_record(
-        &self,
-        dec: &mut crate::snap::Decoder<'_>,
-    ) -> Result<CommandRecord, crate::snap::SnapError> {
-        let cycle = dec.u64()?;
-        let kind = match dec.u8()? {
-            0 => CommandKind::Act,
-            1 => CommandKind::Pre,
-            2 => CommandKind::Rd,
-            3 => CommandKind::Wr,
-            4 => CommandKind::Ref,
-            _ => return Err(crate::snap::SnapError::BadValue),
-        };
-        let coord = self.load_coord(dec)?;
-        Ok(CommandRecord { cycle, kind, coord })
+        Ok(ix)
     }
 
     fn flat_bank(&self, c: &DramCoord) -> usize {
@@ -1517,60 +1368,6 @@ impl ChannelController {
     }
 }
 
-fn save_opt_pair(enc: &mut crate::snap::Encoder, v: Option<(u64, usize)>) {
-    match v {
-        Some((a, b)) => {
-            enc.bool(true);
-            enc.u64(a);
-            enc.usize(b);
-        }
-        None => enc.bool(false),
-    }
-}
-
-fn load_opt_pair(
-    dec: &mut crate::snap::Decoder<'_>,
-) -> Result<Option<(u64, usize)>, crate::snap::SnapError> {
-    Ok(match dec.bool()? {
-        true => Some((dec.u64()?, dec.usize()?)),
-        false => None,
-    })
-}
-
-fn save_coord(enc: &mut crate::snap::Encoder, c: &DramCoord) {
-    enc.usize(c.channel);
-    enc.usize(c.rank);
-    enc.usize(c.bank_group);
-    enc.usize(c.bank);
-    enc.usize(c.row);
-    enc.usize(c.column);
-}
-
-fn save_record(enc: &mut crate::snap::Encoder, r: &CommandRecord) {
-    enc.u64(r.cycle);
-    enc.u8(match r.kind {
-        CommandKind::Act => 0,
-        CommandKind::Pre => 1,
-        CommandKind::Rd => 2,
-        CommandKind::Wr => 3,
-        CommandKind::Ref => 4,
-    });
-    save_coord(enc, &r.coord);
-}
-
-fn save_queue(enc: &mut crate::snap::Encoder, q: &VecDeque<Queued>) {
-    enc.seq(q.len());
-    for e in q {
-        enc.u64(e.req.addr);
-        enc.u8((e.req.kind == ReqKind::Write) as u8);
-        enc.u64(e.req.id);
-        save_coord(enc, &e.coord);
-        enc.u64(e.enq_at);
-        enc.u64(e.seq);
-        enc.bool(e.classified);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1747,6 +1544,41 @@ mod tests {
             }
         }
         assert_eq!(first_done, Some(ReqKind::Write));
+    }
+
+    /// The refresh counters summarize per-rank state; a payload where they
+    /// disagree with it (a count of 0 beside a pending rank would make
+    /// fast-forward skip the refresh and later underflow the count) is
+    /// rejected on restore.
+    #[test]
+    fn restore_rejects_refresh_counters_that_disagree_with_the_ranks() {
+        let mut cfg = DramConfig::ddr4_2400r().with_ranks(2);
+        cfg.refresh_enabled = true;
+        let restore = |ctrl: &ChannelController| {
+            let mut enc = Encoder::new();
+            ctrl.save(&mut enc);
+            let bytes = enc.into_bytes();
+            ChannelController::new(cfg.clone()).load(&mut Decoder::new(&bytes))
+        };
+        // Rank 0 has a refresh pending, rank 1 does not.
+        let consistent = || {
+            let mut ctrl = ChannelController::new(cfg.clone());
+            ctrl.refresh_pending[0] = true;
+            ctrl.refresh_pending_count = 1;
+            ctrl
+        };
+        assert_eq!(restore(&consistent()), Ok(()));
+        let forgeries: [fn(&mut ChannelController); 4] = [
+            |c| c.refresh_pending_count = 0,
+            |c| c.refresh_pending_count = 2,
+            |c| c.refresh_pending[1] = true,
+            |c| c.refresh_next_due += 1,
+        ];
+        for (i, forge) in forgeries.into_iter().enumerate() {
+            let mut forged = consistent();
+            forge(&mut forged);
+            assert_eq!(restore(&forged), Err(SnapError::BadValue), "forgery {i}");
+        }
     }
 
     #[test]

@@ -90,6 +90,33 @@ struct ShadowRank {
     ref_busy_until: u64,
 }
 
+impl ShadowRank {
+    /// Post-load check: the activation window holds at most four ACTs.
+    fn restored(&mut self) -> Result<(), crate::snap::SnapError> {
+        if self.acts.len() > 4 {
+            return Err(crate::snap::SnapError::BadValue);
+        }
+        Ok(())
+    }
+}
+
+crate::snap_fields!(ShadowBank {
+    open_row,
+    last_act,
+    last_pre,
+    last_rd,
+    last_wr,
+});
+
+crate::snap_fields!(ShadowRank {
+    acts,
+    last_cas,
+    last_wr_cas,
+    refs_done,
+    last_ref,
+    ref_busy_until,
+} after restored);
+
 /// Incremental shadow-state checker for one channel's command stream.
 ///
 /// Construct with [`ProtocolChecker::new`], then feed every command in
@@ -115,6 +142,16 @@ pub struct ProtocolChecker {
     /// Commands observed so far (used in violation messages).
     observed: usize,
 }
+
+// The config-derived constants come from the freshly built checker.
+crate::snap_fields!(ProtocolChecker {
+    banks: fixed,
+    ranks: fixed,
+    bus_busy_until,
+    last_burst_start,
+    last_cycle,
+    observed,
+});
 
 impl ProtocolChecker {
     /// Creates a checker for one channel of `config`, with fresh shadow
@@ -413,97 +450,6 @@ impl ProtocolChecker {
             }
         }
         self.observed += 1;
-        Ok(())
-    }
-
-    /// Serializes the checker's dynamic shadow state (everything except
-    /// the config-derived constants).
-    pub fn save_state(&self, enc: &mut crate::snap::Encoder) {
-        enc.seq(self.banks.len());
-        for b in &self.banks {
-            enc.opt_u64(b.open_row.map(|r| r as u64));
-            enc.opt_u64(b.last_act);
-            enc.opt_u64(b.last_pre);
-            enc.opt_u64(b.last_rd);
-            enc.opt_u64(b.last_wr);
-        }
-        enc.seq(self.ranks.len());
-        for r in &self.ranks {
-            enc.seq(r.acts.len());
-            for &(cycle, flat, bg) in &r.acts {
-                enc.u64(cycle);
-                enc.usize(flat);
-                enc.usize(bg);
-            }
-            match r.last_cas {
-                Some((cycle, bg)) => {
-                    enc.bool(true);
-                    enc.u64(cycle);
-                    enc.usize(bg);
-                }
-                None => enc.bool(false),
-            }
-            enc.opt_u64(r.last_wr_cas);
-            enc.u64(r.refs_done);
-            enc.opt_u64(r.last_ref);
-            enc.u64(r.ref_busy_until);
-        }
-        enc.u64(self.bus_busy_until);
-        enc.u64(self.last_burst_start);
-        enc.u64(self.last_cycle);
-        enc.usize(self.observed);
-    }
-
-    /// Restores shadow state saved by [`ProtocolChecker::save_state`]
-    /// onto a checker freshly built for the same config.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`crate::snap::SnapError`] on truncated or out-of-domain
-    /// bytes; the checker is left unspecified on error (callers discard
-    /// it).
-    pub fn restore_state(
-        &mut self,
-        dec: &mut crate::snap::Decoder<'_>,
-    ) -> Result<(), crate::snap::SnapError> {
-        use crate::snap::SnapError;
-        let n_banks = dec.len_capped(5)?;
-        if n_banks != self.banks.len() {
-            return Err(SnapError::BadValue);
-        }
-        for b in &mut self.banks {
-            b.open_row = dec.opt_u64()?.map(|r| r as usize);
-            b.last_act = dec.opt_u64()?;
-            b.last_pre = dec.opt_u64()?;
-            b.last_rd = dec.opt_u64()?;
-            b.last_wr = dec.opt_u64()?;
-        }
-        let n_ranks = dec.len_capped(5)?;
-        if n_ranks != self.ranks.len() {
-            return Err(SnapError::BadValue);
-        }
-        for r in &mut self.ranks {
-            let n_acts = dec.len_capped(24)?;
-            if n_acts > 4 {
-                return Err(SnapError::BadValue);
-            }
-            r.acts.clear();
-            for _ in 0..n_acts {
-                r.acts.push((dec.u64()?, dec.usize()?, dec.usize()?));
-            }
-            r.last_cas = match dec.bool()? {
-                true => Some((dec.u64()?, dec.usize()?)),
-                false => None,
-            };
-            r.last_wr_cas = dec.opt_u64()?;
-            r.refs_done = dec.u64()?;
-            r.last_ref = dec.opt_u64()?;
-            r.ref_busy_until = dec.u64()?;
-        }
-        self.bus_busy_until = dec.u64()?;
-        self.last_burst_start = dec.u64()?;
-        self.last_cycle = dec.u64()?;
-        self.observed = dec.usize()?;
         Ok(())
     }
 

@@ -10,9 +10,10 @@
 use crate::{DramCoord, DramTiming, Organization};
 
 /// A DRAM command kind.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum CommandKind {
     /// Row activate.
+    #[default]
     Act,
     /// Precharge.
     Pre,
@@ -24,8 +25,25 @@ pub enum CommandKind {
     Ref,
 }
 
+/// A tagged enum: one tag byte in declaration order.
+impl crate::snap::Snap for CommandKind {
+    const MIN_BYTES: usize = 1;
+
+    fn save(&self, enc: &mut crate::snap::Encoder) {
+        enc.u8(*self as u8);
+    }
+
+    fn load(&mut self, dec: &mut crate::snap::Decoder<'_>) -> Result<(), crate::snap::SnapError> {
+        use CommandKind::*;
+        *self = *[Act, Pre, Rd, Wr, Ref]
+            .get(dec.u8()? as usize)
+            .ok_or(crate::snap::SnapError::BadValue)?;
+        Ok(())
+    }
+}
+
 /// One issued command.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CommandRecord {
     /// Bus cycle of issue.
     pub cycle: u64,
@@ -35,6 +53,8 @@ pub struct CommandRecord {
     /// whole rank).
     pub coord: DramCoord,
 }
+
+crate::snap_fields!(CommandRecord { cycle, kind, coord });
 
 /// A detected protocol violation.
 #[derive(Debug, Clone, PartialEq, Eq)]

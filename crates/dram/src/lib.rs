@@ -73,7 +73,7 @@ pub use command::{validate_trace, CommandKind, CommandRecord, TimingViolation};
 pub use config::{set_check_protocol_default, DramConfig, DramTiming, Organization, RowPolicy};
 pub use request::{MemRequest, MemResponse, ReqKind};
 pub use scheduler::{FrfcfsPriorHit, SchedCounters};
-pub use snap::{fnv1a, Decoder, Encoder, SnapError};
+pub use snap::{fnv1a, Decoder, Encoder, Fixed, Snap, SnapError};
 pub use stats::DramStats;
 pub use system::MemorySystem;
 // Convenience re-exports so downstream crates can configure tracing

@@ -36,6 +36,23 @@ pub struct DramStats {
     pub queue_full_rejections: u64,
 }
 
+crate::snap_fields!(DramStats {
+    cycles,
+    reads,
+    forwarded_reads,
+    writes,
+    activates,
+    precharges,
+    refreshes,
+    row_hits,
+    row_misses,
+    row_conflicts,
+    read_latency_sum,
+    read_latency_max,
+    bus_busy_cycles,
+    queue_full_rejections,
+});
+
 impl DramStats {
     /// Fresh zeroed statistics.
     pub fn new() -> Self {
@@ -89,50 +106,6 @@ impl DramStats {
             return 0.0;
         }
         self.bus_busy_cycles as f64 / self.cycles as f64
-    }
-
-    /// Serializes every counter for checkpointing.
-    pub fn save_state(&self, enc: &mut crate::snap::Encoder) {
-        enc.u64(self.cycles);
-        enc.u64(self.reads);
-        enc.u64(self.forwarded_reads);
-        enc.u64(self.writes);
-        enc.u64(self.activates);
-        enc.u64(self.precharges);
-        enc.u64(self.refreshes);
-        enc.u64(self.row_hits);
-        enc.u64(self.row_misses);
-        enc.u64(self.row_conflicts);
-        enc.u64(self.read_latency_sum);
-        enc.u64(self.read_latency_max);
-        enc.u64(self.bus_busy_cycles);
-        enc.u64(self.queue_full_rejections);
-    }
-
-    /// Restores counters saved by [`DramStats::save_state`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`crate::snap::SnapError`] on truncated input.
-    pub fn restore_state(
-        &mut self,
-        dec: &mut crate::snap::Decoder<'_>,
-    ) -> Result<(), crate::snap::SnapError> {
-        self.cycles = dec.u64()?;
-        self.reads = dec.u64()?;
-        self.forwarded_reads = dec.u64()?;
-        self.writes = dec.u64()?;
-        self.activates = dec.u64()?;
-        self.precharges = dec.u64()?;
-        self.refreshes = dec.u64()?;
-        self.row_hits = dec.u64()?;
-        self.row_misses = dec.u64()?;
-        self.row_conflicts = dec.u64()?;
-        self.read_latency_sum = dec.u64()?;
-        self.read_latency_max = dec.u64()?;
-        self.bus_busy_cycles = dec.u64()?;
-        self.queue_full_rejections = dec.u64()?;
-        Ok(())
     }
 
     /// Accumulates `other` into `self` (cycle counts take the max, event

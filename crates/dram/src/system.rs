@@ -1,3 +1,4 @@
+use crate::snap::Snap;
 use crate::{AddressMapper, ChannelController, DramConfig, DramStats, MemRequest, MemResponse};
 
 /// The multi-channel memory system front end.
@@ -24,6 +25,8 @@ pub struct MemorySystem {
     channels: Vec<ChannelController>,
     rr_next: usize,
 }
+
+crate::snap_fields!(MemorySystem { channels: fixed, rr_next } after restored);
 
 impl MemorySystem {
     /// Creates a memory system with `config.org.channels` channels.
@@ -211,15 +214,9 @@ impl MemorySystem {
     }
 
     /// Serializes the full dynamic state of every channel plus the
-    /// response round-robin cursor. Pairs with
-    /// [`MemorySystem::restore_state`] on a freshly built system of the
-    /// same config.
+    /// response round-robin cursor: the system's [`Snap`] encoding.
     pub fn save_state(&self, enc: &mut crate::snap::Encoder) {
-        enc.seq(self.channels.len());
-        for ch in &self.channels {
-            ch.save_state(enc);
-        }
-        enc.usize(self.rr_next);
+        self.save(enc);
     }
 
     /// Restores state saved by [`MemorySystem::save_state`] onto a system
@@ -233,14 +230,11 @@ impl MemorySystem {
         &mut self,
         dec: &mut crate::snap::Decoder<'_>,
     ) -> Result<(), crate::snap::SnapError> {
-        let n = dec.len_capped(1)?;
-        if n != self.channels.len() {
-            return Err(crate::snap::SnapError::BadValue);
-        }
-        for ch in &mut self.channels {
-            ch.restore_state(dec)?;
-        }
-        self.rr_next = dec.usize()?;
+        self.load(dec)
+    }
+
+    /// Post-load check: the round-robin cursor names a channel.
+    fn restored(&mut self) -> Result<(), crate::snap::SnapError> {
         if self.rr_next >= self.channels.len() {
             return Err(crate::snap::SnapError::BadValue);
         }
