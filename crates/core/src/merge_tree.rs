@@ -402,15 +402,6 @@ impl MergeTree {
         self.active.insert(pe);
     }
 
-    /// Front key of FIFO `f`; only meaningful when its occupancy is
-    /// non-zero. The hot path in [`MergeTree::step_pe`] inlines this
-    /// against an already-loaded control word; this helper serves the
-    /// differential test's diagnostics.
-    #[cfg(test)]
-    fn front_key(&self, f: usize) -> u64 {
-        self.keys[f * self.fifo_cap + (self.ctrl[f] & 0xFFFF) as usize]
-    }
-
     /// Pops the front of FIFO `f`; caller guarantees it is non-empty.
     #[inline]
     fn fifo_pop(&mut self, f: usize) -> (u64, f32) {
@@ -482,50 +473,6 @@ impl MergeTree {
             // sibling-gated parent) arrive one cycle later in exactly
             // those races — see `activity_driven_tick_matches_legacy_policy`,
             // which pins this policy against refinement attempts.
-            if moved || pulled {
-                self.activate(pe);
-                if pe > 0 {
-                    self.activate((pe - 1) / 2);
-                }
-                let (c0, c1) = (2 * pe + 1, 2 * pe + 2);
-                if c0 < n {
-                    self.activate(c0);
-                }
-                if c1 < n {
-                    self.activate(c1);
-                }
-            }
-        }
-        work.clear();
-        self.work_scratch = work;
-        rooted
-    }
-
-    /// Reference single cycle running the broad legacy wake policy: any
-    /// PE that moved or pulled reactivates itself, its parent, and both
-    /// children unconditionally. This is the timing the absolute cycle
-    /// fingerprints pin. [`MergeTree::tick`] runs the same policy today,
-    /// so this frozen copy guards it: any change to `tick`'s visit order,
-    /// wake set or skipping must reproduce this function's state cycle by
-    /// cycle. The differential test drives both against random traffic
-    /// and compares FIFO states and root pops per cycle.
-    #[cfg(test)]
-    pub(crate) fn tick_legacy<S: LeafSource + ?Sized>(
-        &mut self,
-        src: &mut S,
-        root_space: usize,
-    ) -> Option<Packet> {
-        if root_space > 0 {
-            self.activate(0);
-        }
-        let mut work = std::mem::take(&mut self.work_scratch);
-        self.active.drain_into(&mut work);
-        let mut rooted = None;
-        let n = self.leaves - 1;
-        for &pe in &work {
-            let pe = pe as usize;
-            let moved = self.step_pe(pe, root_space, &mut rooted) != 0;
-            let pulled = self.pull_leaf(pe, src);
             if moved || pulled {
                 self.activate(pe);
                 if pe > 0 {
@@ -889,101 +836,158 @@ mod tests {
         z ^ (z >> 31)
     }
 
-    /// Pins the production `tick` to the frozen legacy wake policy in
-    /// [`MergeTree::tick_legacy`], cycle by cycle, under randomized
+    /// FNV-1a digests of `tick`'s state, one per case of
+    /// [`activity_driven_tick_matches_legacy_policy`], recorded under the
+    /// broad wake policy that the absolute cycle fingerprints pin.
+    const TICK_DIGESTS: [u64; 64] = [
+        0x8f18111013c2da2c,
+        0xeddc9aefeb9fa024,
+        0xfe176eb91d7dd97d,
+        0x547cca54a2f7d945,
+        0xd078ee618c928b0e,
+        0x61ac97f023555988,
+        0xd3ed40144f913900,
+        0xdb04b6abd0bcc63a,
+        0x0ba3e661e5413f65,
+        0xa5dccc7191aabfa2,
+        0x548310a96d23e5e0,
+        0xf73e001e9eb247d3,
+        0x60596004c2e3f3d7,
+        0x06c5ebb765fbb848,
+        0x812dcb569129688f,
+        0x26e6cb72d37768c7,
+        0xf4a64e08eaa4817d,
+        0x9ae0e6e71ddf2b8b,
+        0x528b4c045fbb88c6,
+        0x0465356b51c84886,
+        0x289072b92bcca94e,
+        0xef3ff74cdfc19709,
+        0x9762d4e4ba251288,
+        0xae94afc86b20ac44,
+        0x166cea4f7649e596,
+        0x01f5aa56e970e974,
+        0xbe5aad9850efef56,
+        0xbbd425cca209b666,
+        0xffad621adc7f332b,
+        0x34c028d6be4e48b1,
+        0xbf781e181f6b5e54,
+        0x21458e2e0747c51e,
+        0x301a6a75ccb66f7e,
+        0x61ce3f0d0796939a,
+        0x6606946ff92af88e,
+        0x6f8e5b9fed5162ee,
+        0x85e893b5062eeb9c,
+        0xd93cc6240a8d3c89,
+        0x62bf5cebd0364850,
+        0xa123302e3dc0299e,
+        0x3529a476152e131f,
+        0x94bc33556177ed43,
+        0xb0457330546b644f,
+        0xc10a17b76c4de75c,
+        0x10552c4d9e37ad54,
+        0x9877900271b2c2f4,
+        0x98134721156ceff4,
+        0x9c954c3a95db4efd,
+        0xe8a6016845ea0535,
+        0x88890d39e1578855,
+        0xb878580ccab16313,
+        0xd6096d1eb5208d6d,
+        0x045b090f9d3e2faf,
+        0x7d69ebaa0cc9f6d9,
+        0xec6f851d8a893bd2,
+        0xe01b80acfa4bbf3c,
+        0xc898e513a93c6f63,
+        0xd61c2280abb8e8e4,
+        0x1188a6a9f58700f4,
+        0xc0277ad704c8adba,
+        0xdc035e7e4656eed8,
+        0xf80535f27eda6805,
+        0x4a92b532c36c43f7,
+        0x97729fffda7fb380,
+    ];
+
+    /// Pins `tick` to the broad wake policy cycle by cycle, under seeded
     /// traffic: staggered packet arrival (with the `wake_port` contract
-    /// honored on both sides), random root back-pressure, multiple
-    /// rounds, and varying geometry. The wake set is timing-semantic —
-    /// a "tighter" policy that skips provably-unmergeable wakes still
-    /// diverges, because a spuriously woken PE reacts in the same cycle
-    /// to its parent freeing a slot mid-tick (ascending visit order),
-    /// one cycle earlier than any wake issued at the pop itself. Any
-    /// future activation-policy change must either reproduce the exact
-    /// state evolution here or consciously re-baseline the absolute
-    /// cycle fingerprints.
+    /// honored), random root back-pressure, multiple rounds, and varying
+    /// geometry. Every cycle folds the root pop, the FIFO keys and
+    /// control words, `pops` and `rounds_completed` into the case's
+    /// digest. The wake set is timing-semantic — a "tighter" policy that
+    /// skips provably-unmergeable wakes still diverges, because a
+    /// spuriously woken PE reacts in the same cycle to its parent freeing
+    /// a slot mid-tick (ascending visit order), one cycle earlier than any
+    /// wake issued at the pop itself. Any future activation-policy change
+    /// must either reproduce these digests or consciously re-baseline them
+    /// with the absolute cycle fingerprints.
     #[test]
     fn activity_driven_tick_matches_legacy_policy() {
         let mut seed = 0x5EED_CAFE_u64;
-        for case in 0..64u64 {
+        let mut digests = [0u64; 64];
+        for (case, pinned) in digests.iter_mut().enumerate() {
             let leaves = 1usize << (1 + next_rand(&mut seed) % 5); // 2..32
             let fifo_cap = 1 + (next_rand(&mut seed) % 3) as usize;
             let rounds = 1 + next_rand(&mut seed) % 2;
-            let mut lazy = MergeTree::new(leaves, fifo_cap);
-            let mut gold = MergeTree::new(leaves, fifo_cap);
-            let mut lazy_src = SliceLeafSource::new(leaves);
-            let mut gold_src = SliceLeafSource::new(leaves);
+            let mut tree = MergeTree::new(leaves, fifo_cap);
+            let mut src = SliceLeafSource::new(leaves);
             // Pending per-port streams delivered a few packets at a time.
             let mut pending: Vec<VecDeque<Packet>> = (0..leaves)
                 .map(|p| {
                     let mut q = VecDeque::new();
-                    for r in 0..rounds {
+                    for _ in 0..rounds {
                         let n = next_rand(&mut seed) % 6;
                         let mut key = 0u32;
                         for _ in 0..n {
                             key += (next_rand(&mut seed) % 7) as u32;
                             q.push_back(Packet::nz(key, p as u32, 1.0));
                         }
-                        let _ = r;
                         q.push_back(Packet::Eol);
                     }
                     q
                 })
                 .collect();
-            for cycle in 0..4096u64 {
+            let mut digest = crate::Digest::new();
+            for _ in 0..4096u64 {
                 // Staggered arrival: each port delivers with p=1/4.
-                for (port, queue) in pending.iter_mut().enumerate().take(leaves) {
+                for (port, queue) in pending.iter_mut().enumerate() {
                     if next_rand(&mut seed).is_multiple_of(4) {
                         if let Some(pkt) = queue.pop_front() {
-                            lazy_src.push(port, pkt);
-                            gold_src.push(port, pkt);
-                            lazy.wake_port(port);
-                            gold.wake_port(port);
+                            src.push(port, pkt);
+                            tree.wake_port(port);
                         }
                     }
                 }
                 let root_space = usize::from(!next_rand(&mut seed).is_multiple_of(4));
-                let a = lazy.tick(&mut lazy_src, root_space);
-                let b = gold.tick_legacy(&mut gold_src, root_space);
-                assert_eq!(
-                    a, b,
-                    "case {case} cycle {cycle}: root pop diverged \
-                     (leaves={leaves} cap={fifo_cap})"
-                );
-                if !(lazy.keys == gold.keys
-                    && lazy.ctrl == gold.ctrl
-                    && lazy.pops == gold.pops
-                    && lazy.rounds_completed == gold.rounds_completed)
-                {
-                    for f in 0..lazy.ctrl.len() {
-                        if lazy.fifo_len(f) != gold.fifo_len(f)
-                            || (lazy.fifo_len(f) > 0 && lazy.front_key(f) != gold.front_key(f))
-                        {
-                            eprintln!(
-                                "  fifo {f} (pe {}): lazy len={} gold len={}",
-                                f / 2,
-                                lazy.fifo_len(f),
-                                gold.fifo_len(f)
-                            );
-                        }
+                match tree.tick(&mut src, root_space) {
+                    None => digest.push_bytes(&[0]),
+                    Some(p) => {
+                        let (key, value) = p.pack();
+                        digest.push_bytes(&[1]);
+                        digest.push_bytes(&key.to_le_bytes());
+                        digest.push_bytes(&value.to_bits().to_le_bytes());
                     }
-                    panic!(
-                        "case {case} cycle {cycle}: FIFO state diverged \
-                         (leaves={leaves} cap={fifo_cap})"
-                    );
                 }
-                if gold.rounds_completed >= rounds && gold.is_drained() {
+                for &k in &tree.keys {
+                    digest.push_bytes(&k.to_le_bytes());
+                }
+                for &c in &tree.ctrl {
+                    digest.push_bytes(&c.to_le_bytes());
+                }
+                digest.push_bytes(&tree.pops.to_le_bytes());
+                digest.push_bytes(&tree.rounds_completed.to_le_bytes());
+                if tree.rounds_completed >= rounds && tree.is_drained() {
                     break;
                 }
             }
             assert!(
-                gold.rounds_completed >= rounds,
-                "case {case}: legacy tree did not finish (leaves={leaves})"
+                tree.rounds_completed >= rounds,
+                "case {case}: tree did not finish (leaves={leaves} cap={fifo_cap})"
             );
-            assert_eq!(
-                lazy.rounds_completed, gold.rounds_completed,
-                "case {case}: activity-driven tree fell behind"
-            );
+            *pinned = digest.finish();
         }
+        let first_wrong = (0..64).find(|&case| digests[case] != TICK_DIGESTS[case]);
+        assert_eq!(
+            first_wrong, None,
+            "tick diverged from the pinned wake policy; digests: {digests:#018x?}"
+        );
     }
 
     #[test]
