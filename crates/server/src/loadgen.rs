@@ -13,7 +13,7 @@ use std::net::TcpStream;
 use std::time::Instant;
 
 use menda_core::{BackendKind, Digest, JobKernel, JobSpec, MatrixSource};
-use menda_trace::json::{self, JsonValue};
+use menda_trace::json::{self, Object};
 
 /// Load-driver knobs.
 #[derive(Debug, Clone)]
@@ -299,13 +299,14 @@ fn drive_connection(
         let raw = line.trim().to_string();
         let value = json::parse(&raw)
             .map_err(|(pos, msg)| format!("bad response line at byte {pos}: {msg}"))?;
-        let kind = str_field(&value, "type")?;
-        let ok = matches!(value.get("ok"), Some(JsonValue::Bool(true)));
-        match kind.as_str() {
+        let response = Object::new(&value).ok_or("response is not a JSON object")?;
+        let kind = response.str("type")?.ok_or("response missing \"type\"")?;
+        let job_id = response.u64("job_id")?.ok_or("response missing \"job_id\"");
+        match kind {
             "accepted" => {
                 // Oldest submission without an id is the one just acked:
                 // requests on one connection are answered in order.
-                let id = u64_field(&value, "job_id")?;
+                let id = job_id?;
                 let slot = inflight
                     .iter_mut()
                     .find(|f| f.job_id.is_none())
@@ -313,7 +314,9 @@ fn drive_connection(
                 slot.job_id = Some(id);
             }
             "rejected" => {
-                let reason = str_field(&value, "reason")?;
+                let reason = response
+                    .str("reason")?
+                    .ok_or("response missing \"reason\"")?;
                 let slot_pos = inflight
                     .iter()
                     .position(|f| f.job_id.is_none())
@@ -341,8 +344,8 @@ fn drive_connection(
                 }
             }
             "started" => {}
-            "result" if ok => {
-                let id = u64_field(&value, "job_id")?;
+            "result" if response.bool("ok") == Ok(Some(true)) => {
+                let id = job_id?;
                 let pos = inflight
                     .iter()
                     .position(|f| f.job_id == Some(id))
@@ -351,7 +354,7 @@ fn drive_connection(
                 let latency_ms = flight.submitted_at.elapsed().as_secs_f64() * 1e3;
                 if options.verify_every > 0 && flight.index.is_multiple_of(options.verify_every) {
                     result.verified += 1;
-                    if !wire_matches_batch(&raw, &value, flight.index, options.scale)? {
+                    if !wire_matches_batch(&raw, response, flight.index, options.scale)? {
                         result.diverged += 1;
                         continue;
                     }
@@ -362,7 +365,7 @@ fn drive_connection(
                 });
             }
             "result" => {
-                let id = u64_field(&value, "job_id")?;
+                let id = job_id?;
                 if let Some(pos) = inflight.iter().position(|f| f.job_id == Some(id)) {
                     inflight.remove(pos);
                 }
@@ -382,11 +385,13 @@ fn drive_connection(
 /// embedded stats JSON (byte-for-byte, against the raw wire line).
 fn wire_matches_batch(
     raw_line: &str,
-    response: &JsonValue,
+    response: Object<'_>,
     index: usize,
     scale: usize,
 ) -> Result<bool, String> {
-    let wire_digest = str_field(response, "stats_digest")?;
+    let wire_digest = response
+        .str("stats_digest")?
+        .ok_or("response missing \"stats_digest\"")?;
     let spec = job_for_index(index, scale);
     let outcome = spec
         .execute()
@@ -394,34 +399,6 @@ fn wire_matches_batch(
     let local_stats = outcome.to_json();
     let local_digest = format!("{:016x}", Digest::of(local_stats.as_bytes()));
     Ok(wire_digest == local_digest && raw_line.contains(&local_stats))
-}
-
-fn str_field(value: &JsonValue, key: &str) -> Result<String, String> {
-    match value {
-        JsonValue::Obj(pairs) => pairs
-            .iter()
-            .find(|(k, _)| k.as_str() == key)
-            .and_then(|(_, v)| match v {
-                JsonValue::Str(s) => Some(s.clone()),
-                _ => None,
-            })
-            .ok_or_else(|| format!("response missing string field {key:?}")),
-        _ => Err("response is not a JSON object".into()),
-    }
-}
-
-fn u64_field(value: &JsonValue, key: &str) -> Result<u64, String> {
-    match value {
-        JsonValue::Obj(pairs) => pairs
-            .iter()
-            .find(|(k, _)| k.as_str() == key)
-            .and_then(|(_, v)| match v {
-                JsonValue::Num(n) if *n >= 0.0 => Some(*n as u64),
-                _ => None,
-            })
-            .ok_or_else(|| format!("response missing numeric field {key:?}")),
-        _ => Err("response is not a JSON object".into()),
-    }
 }
 
 #[cfg(test)]
@@ -461,9 +438,7 @@ mod tests {
             scale: 512,
         };
         let parsed = json::parse(&report.to_json()).expect("report JSON parses");
-        assert_eq!(
-            str_field(&parsed, "experiment").expect("experiment field"),
-            "server_load"
-        );
+        let report = Object::new(&parsed).expect("report is an object");
+        assert_eq!(report.str("experiment"), Ok(Some("server_load")));
     }
 }

@@ -21,7 +21,7 @@
 //! is the compact witness clients compare.
 
 use menda_core::{JobError, JobOutcome, JobSpec};
-use menda_trace::json::{escape, parse, JsonValue};
+use menda_trace::json::{escape, one_of, parse, Object};
 
 /// Longest request line the server accepts, in bytes. Longer lines are
 /// answered with an `error` response and skipped.
@@ -66,82 +66,46 @@ impl Request {
     pub fn parse(line: &str) -> Result<Request, String> {
         let value =
             parse(line).map_err(|(pos, msg)| format!("malformed JSON: {msg} at byte {pos}"))?;
-        let obj = match &value {
-            JsonValue::Obj(m) => m,
-            _ => return Err("request must be a JSON object".into()),
+        let obj = Object::new(&value).ok_or("request must be a JSON object")?;
+        let Ok(Some(name)) = obj.str("op") else {
+            return Err("request must have a string 'op' field".into());
         };
-        let op = obj
-            .get("op")
-            .and_then(JsonValue::as_str)
-            .ok_or("request must have a string 'op' field")?;
-        let allow = |keys: &[&str]| -> Result<(), String> {
-            for k in obj.keys() {
-                if k != "op" && !keys.contains(&k.as_str()) {
-                    return Err(format!("unknown field '{k}' for op '{op}'"));
-                }
-            }
-            Ok(())
+        let Some((_, fields, build)) = OPS.iter().find(|(op, ..)| *op == name) else {
+            let expected = one_of(OPS.iter().map(|(op, ..)| *op));
+            return Err(format!("unknown op '{name}' (expected {expected})"));
         };
-        match op {
-            "ping" => {
-                allow(&[])?;
-                Ok(Request::Ping)
-            }
-            "status" => {
-                allow(&[])?;
-                Ok(Request::Status)
-            }
-            "submit" => {
-                allow(&["job", "tag", "deadline_ms"])?;
-                let job_value = obj.get("job").ok_or("submit requires a 'job' object")?;
-                let job = JobSpec::from_json(job_value).map_err(|e| e.to_string())?;
-                let tag = match obj.get("tag") {
-                    Some(v) => Some(v.as_str().ok_or("'tag' must be a string")?.to_string()),
-                    None => None,
-                };
-                let deadline_ms = match obj.get("deadline_ms") {
-                    Some(v) => Some(as_u64(v, "deadline_ms")?),
-                    None => None,
-                };
-                Ok(Request::Submit {
-                    job: Box::new(job),
-                    tag,
-                    deadline_ms,
-                })
-            }
-            "cancel" => {
-                allow(&["job_id"])?;
-                let job_id = as_u64(
-                    obj.get("job_id").ok_or("cancel requires 'job_id'")?,
-                    "job_id",
-                )?;
-                Ok(Request::Cancel { job_id })
-            }
-            "shutdown" => {
-                allow(&["drain"])?;
-                let drain = match obj.get("drain") {
-                    Some(JsonValue::Bool(b)) => *b,
-                    Some(_) => return Err("'drain' must be a boolean".into()),
-                    None => true,
-                };
-                Ok(Request::Shutdown { drain })
-            }
-            other => Err(format!(
-                "unknown op '{other}' (expected ping, submit, cancel, status or shutdown)"
-            )),
-        }
+        obj.check(|key| key == "op" || fields.contains(&key))
+            .map_err(|key| format!("unknown field '{key}' for op '{name}'"))?;
+        build(obj)
     }
 }
 
-fn as_u64(v: &JsonValue, field: &str) -> Result<u64, String> {
-    let n = v
-        .as_num()
-        .ok_or_else(|| format!("'{field}' must be a number"))?;
-    if n < 0.0 || n.fract() != 0.0 || n > 9_007_199_254_740_992.0 {
-        return Err(format!("'{field}' must be a non-negative integer"));
-    }
-    Ok(n as u64)
-}
+/// A request constructor: reads an op's fields from a request whose keys
+/// are already checked.
+type Build = fn(Object<'_>) -> Result<Request, String>;
+
+/// Every op the daemon serves, in the order error messages list them:
+/// its name, the fields it takes besides `op`, and its constructor.
+const OPS: &[(&str, &[&str], Build)] = &[
+    ("ping", &[], |_| Ok(Request::Ping)),
+    ("submit", &["job", "tag", "deadline_ms"], |obj| {
+        let job = obj.get("job").ok_or("submit requires a 'job' object")?;
+        Ok(Request::Submit {
+            job: Box::new(JobSpec::from_json(job).map_err(|e| e.to_string())?),
+            tag: obj.str("tag")?.map(str::to_string),
+            deadline_ms: obj.u64("deadline_ms")?,
+        })
+    }),
+    ("cancel", &["job_id"], |obj| {
+        let job_id = obj.u64("job_id")?.ok_or("cancel requires 'job_id'")?;
+        Ok(Request::Cancel { job_id })
+    }),
+    ("status", &[], |_| Ok(Request::Status)),
+    ("shutdown", &["drain"], |obj| {
+        let drain = obj.bool("drain")?.unwrap_or(true);
+        Ok(Request::Shutdown { drain })
+    }),
+];
 
 /// Why a submit was turned away (the machine-readable `reason` of a
 /// `rejected` response).

@@ -13,7 +13,7 @@ use std::time::Duration;
 
 use menda_core::{Digest, JobKernel, JobSpec, MatrixSource};
 use menda_server::{ServerConfig, ServerHandle, MAX_LINE_BYTES};
-use menda_trace::json::{self, JsonValue};
+use menda_trace::json::{self, JsonValue, Object};
 
 /// A test client: line-in/line-out over one connection. `recv` keeps the
 /// raw line around for byte-level assertions.
@@ -86,21 +86,6 @@ fn is_ok(value: &JsonValue) -> bool {
     matches!(value.get("ok"), Some(JsonValue::Bool(true)))
 }
 
-fn str_field(value: &JsonValue, key: &str) -> String {
-    value
-        .get(key)
-        .and_then(JsonValue::as_str)
-        .unwrap_or_else(|| panic!("response missing string {key:?}: {value:?}"))
-        .to_string()
-}
-
-fn num_field(value: &JsonValue, key: &str) -> f64 {
-    value
-        .get(key)
-        .and_then(JsonValue::as_num)
-        .unwrap_or_else(|| panic!("response missing number {key:?}: {value:?}"))
-}
-
 fn start_server(config: ServerConfig) -> ServerHandle {
     ServerHandle::bind("127.0.0.1:0", config).expect("bind ephemeral port")
 }
@@ -126,12 +111,17 @@ fn ping_status_and_roundtrip() {
 
     let result = client.run_job(&tiny_spec());
     assert!(is_ok(&result), "job failed: {result:?}");
-    assert!(num_field(&result, "run_ms") >= 0.0);
+    assert!(Object::new(&result)
+        .unwrap()
+        .u64("run_ms")
+        .unwrap()
+        .is_some());
 
     client.send("{\"op\":\"status\"}");
     let status = client.recv_type("status");
-    assert_eq!(num_field(&status, "completed"), 1.0);
-    assert_eq!(num_field(&status, "failed"), 0.0);
+    let status = Object::new(&status).unwrap();
+    assert_eq!(status.u64("completed"), Ok(Some(1)));
+    assert_eq!(status.u64("failed"), Ok(Some(0)));
     server.shutdown(true);
     server.join();
 }
@@ -155,7 +145,8 @@ fn wire_result_is_bit_identical_to_batch_path() {
     let mut client = Client::connect(&server);
     let result = client.run_job(&spec);
     assert!(is_ok(&result), "wire job failed: {result:?}");
-    assert_eq!(str_field(&result, "stats_digest"), batch_digest);
+    let wire_digest = Object::new(&result).unwrap().str("stats_digest");
+    assert_eq!(wire_digest, Ok(Some(batch_digest.as_str())));
     // The raw wire line embeds the batch stats JSON byte-for-byte.
     assert!(
         client.last_line.contains(&batch_stats),
@@ -197,7 +188,8 @@ fn malformed_lines_get_structured_errors_and_daemon_survives() {
             "error",
             "line {shown:?} must answer a structured error, got {response:?}"
         );
-        assert!(!str_field(&response, "message").is_empty());
+        let message = Object::new(&response).unwrap().str("message");
+        assert!(message.unwrap().is_some_and(|m| !m.is_empty()));
     }
     // Daemon still serves real work afterwards.
     let result = client.run_job(&tiny_spec());
@@ -224,7 +216,8 @@ fn oversized_job_and_bad_deadline_are_rejected() {
     client.send(&format!("{{\"op\":\"submit\",\"job\":{}}}", big.to_json()));
     let response = client.recv();
     assert_eq!(type_of(&response), "rejected");
-    assert_eq!(str_field(&response, "reason"), "too_large");
+    let reason = Object::new(&response).unwrap().str("reason");
+    assert_eq!(reason, Ok(Some("too_large")));
 
     client.send(&format!(
         "{{\"op\":\"submit\",\"job\":{},\"deadline_ms\":999999}}",
@@ -232,7 +225,8 @@ fn oversized_job_and_bad_deadline_are_rejected() {
     ));
     let response = client.recv();
     assert_eq!(type_of(&response), "rejected");
-    assert_eq!(str_field(&response, "reason"), "bad_deadline");
+    let reason = Object::new(&response).unwrap().str("reason");
+    assert_eq!(reason, Ok(Some("bad_deadline")));
 
     // Deadline of 1 ms expires in the queue behind real jobs: the
     // worker fails it without running it.
@@ -250,7 +244,10 @@ fn oversized_job_and_bad_deadline_are_rejected() {
     for _ in 0..30 {
         let value = client.recv();
         if type_of(&value) == "result" && !is_ok(&value) {
-            assert!(str_field(&value, "error").contains("deadline_exceeded"));
+            let error = Object::new(&value).unwrap().str("error");
+            assert!(error
+                .unwrap()
+                .is_some_and(|e| e.contains("deadline_exceeded")));
             saw_deadline_failure = true;
             break;
         }
@@ -282,7 +279,8 @@ fn queue_full_rejects_and_recovers() {
         match type_of(&value).as_str() {
             "accepted" => accepted += 1,
             "rejected" => {
-                assert_eq!(str_field(&value, "reason"), "queue_full");
+                let reason = Object::new(&value).unwrap().str("reason");
+                assert_eq!(reason, Ok(Some("queue_full")));
                 queue_full += 1;
             }
             "result" => {
@@ -322,13 +320,17 @@ fn cancel_removes_queued_job_and_unknown_cancel_is_rejected() {
         blocker.to_json()
     ));
     let first = client.recv_type("accepted");
-    let first_id = num_field(&first, "job_id") as u64;
+    let first_id = Object::new(&first).unwrap().u64("job_id").unwrap().unwrap();
     client.send(&format!(
         "{{\"op\":\"submit\",\"job\":{}}}",
         tiny_spec().to_json()
     ));
     let second = client.recv_type("accepted");
-    let victim_id = num_field(&second, "job_id") as u64;
+    let victim_id = Object::new(&second)
+        .unwrap()
+        .u64("job_id")
+        .unwrap()
+        .unwrap();
 
     client.send(&format!("{{\"op\":\"cancel\",\"job_id\":{victim_id}}}"));
     // The cancel ack (type "accepted"), the victim's failure line and
@@ -341,16 +343,26 @@ fn cancel_removes_queued_job_and_unknown_cancel_is_rejected() {
         let value = client.recv();
         match type_of(&value).as_str() {
             "result" if !is_ok(&value) => {
-                assert_eq!(num_field(&value, "job_id") as u64, victim_id);
-                assert!(str_field(&value, "error").contains("cancelled"));
+                let value = Object::new(&value).unwrap();
+                assert_eq!(value.u64("job_id"), Ok(Some(victim_id)));
+                assert!(value
+                    .str("error")
+                    .unwrap()
+                    .is_some_and(|e| e.contains("cancelled")));
                 cancelled = true;
             }
             "result" => {
-                assert_eq!(num_field(&value, "job_id") as u64, first_id);
+                assert_eq!(
+                    Object::new(&value).unwrap().u64("job_id"),
+                    Ok(Some(first_id))
+                );
                 first_done = true;
             }
             "accepted" => {
-                assert_eq!(num_field(&value, "job_id") as u64, victim_id);
+                assert_eq!(
+                    Object::new(&value).unwrap().u64("job_id"),
+                    Ok(Some(victim_id))
+                );
                 acked = true;
             }
             "started" => {}
@@ -365,7 +377,8 @@ fn cancel_removes_queued_job_and_unknown_cancel_is_rejected() {
     client.send("{\"op\":\"cancel\",\"job_id\":424242}");
     let response = client.recv();
     assert_eq!(type_of(&response), "rejected");
-    assert_eq!(str_field(&response, "reason"), "not_queued");
+    let reason = Object::new(&response).unwrap().str("reason");
+    assert_eq!(reason, Ok(Some("not_queued")));
     server.shutdown(true);
     server.join();
 }
@@ -401,7 +414,8 @@ fn client_disconnect_mid_job_does_not_kill_daemon() {
     for _ in 0..200 {
         client.send("{\"op\":\"status\"}");
         let status = client.recv_type("status");
-        if num_field(&status, "undeliverable") >= 1.0 && num_field(&status, "running") == 0.0 {
+        let status = Object::new(&status).unwrap();
+        if status.u64("undeliverable").unwrap() >= Some(1) && status.u64("running") == Ok(Some(0)) {
             server.shutdown(true);
             server.join();
             return;
@@ -422,7 +436,8 @@ fn oversized_line_is_rejected_without_closing_connection() {
     client.send(&huge);
     let response = client.recv();
     assert_eq!(type_of(&response), "error");
-    assert!(str_field(&response, "message").contains("exceeds"));
+    let message = Object::new(&response).unwrap().str("message");
+    assert!(message.unwrap().is_some_and(|m| m.contains("exceeds")));
     client.send("{\"op\":\"ping\"}");
     assert_eq!(type_of(&client.recv()), "pong");
     server.shutdown(true);
@@ -460,7 +475,8 @@ fn shutdown_drains_queued_work_then_stops_accepting() {
     let mut admin = Client::connect(&server);
     admin.send("{\"op\":\"shutdown\",\"drain\":true}");
     let ack = admin.recv_type("shutdown");
-    assert_eq!(num_field(&ack, "completed"), 3.0, "drain must finish all 3");
+    let completed = Object::new(&ack).unwrap().u64("completed");
+    assert_eq!(completed, Ok(Some(3)), "drain must finish all 3");
     // All three results were delivered to the submitting client.
     for _ in 0..20 {
         if results == 3 {
@@ -513,7 +529,8 @@ fn submits_after_drain_are_rejected_shutting_down() {
     for _ in 0..10 {
         let value = client.recv();
         if type_of(&value) == "rejected" {
-            assert_eq!(str_field(&value, "reason"), "shutting_down");
+            let reason = Object::new(&value).unwrap().str("reason");
+            assert_eq!(reason, Ok(Some("shutting_down")));
             saw_reject = true;
             break;
         }

@@ -1,11 +1,12 @@
-//! A minimal in-repo JSON parser and string escaper.
+//! A minimal in-repo JSON parser, string escaper and object reader.
 //!
 //! The workspace builds without external dependencies, so the Chrome
 //! trace files written by [`crate::TraceReport::chrome_json`] are
 //! validated with this hand-rolled recursive-descent parser instead of
 //! `serde_json`. It supports the full JSON grammar the trace writer can
 //! produce (objects, arrays, strings with escapes, numbers, booleans,
-//! null).
+//! null). [`Object`] reads the job descriptions and protocol requests
+//! that reach the simulation service as JSON.
 
 use std::collections::BTreeMap;
 
@@ -102,6 +103,101 @@ pub fn escape(s: &str) -> String {
         }
     }
     out
+}
+
+/// Largest integer the typed getters accept. A JSON number is an `f64`,
+/// so `2^53 + 1` already parses as `2^53`; every integer from `2^53` up
+/// is rejected rather than read as a neighbouring value.
+pub const MAX_EXACT_INT: u64 = (1 << 53) - 1;
+
+/// Lists `labels` for an error message: `"a, b or c"`.
+pub fn one_of<'s>(labels: impl IntoIterator<Item = &'s str>) -> String {
+    let labels: Vec<&str> = labels.into_iter().collect();
+    match labels.split_last() {
+        Some((last, [])) => (*last).to_string(),
+        Some((last, rest)) => format!("{} or {last}", rest.join(", ")),
+        None => String::new(),
+    }
+}
+
+/// A JSON object read field by field.
+///
+/// [`Object::check`] holds the keys to an allowlist. Each typed getter
+/// returns `Ok(None)` for an absent key, so the caller decides what
+/// absence means, and for a value of the wrong kind fails with a message
+/// that names the key: `'key' must be a string`, `a boolean`, `a number`,
+/// or for an integer `a non-negative integer representable in 53 bits`.
+#[derive(Debug, Clone, Copy)]
+pub struct Object<'a>(&'a BTreeMap<String, JsonValue>);
+
+impl<'a> Object<'a> {
+    /// `value` as an object, or `None` for any other kind of value.
+    pub fn new(value: &'a JsonValue) -> Option<Self> {
+        match value {
+            JsonValue::Obj(map) => Some(Object(map)),
+            _ => None,
+        }
+    }
+
+    /// Checks every key against `known`; the error is the first key, in
+    /// sorted order, that `known` rejects.
+    pub fn check(self, known: impl Fn(&str) -> bool) -> Result<(), &'a str> {
+        self.0
+            .keys()
+            .find(|key| !known(key))
+            .map_or(Ok(()), |key| Err(key))
+    }
+
+    /// The value of `key`.
+    pub fn get(self, key: &str) -> Option<&'a JsonValue> {
+        self.0.get(key)
+    }
+
+    /// The string `key`.
+    pub fn str(self, key: &str) -> Result<Option<&'a str>, String> {
+        self.typed(key, "a string", JsonValue::as_str)
+    }
+
+    /// The boolean `key`.
+    pub fn bool(self, key: &str) -> Result<Option<bool>, String> {
+        self.typed(key, "a boolean", |v| match v {
+            JsonValue::Bool(b) => Some(*b),
+            _ => None,
+        })
+    }
+
+    /// The number `key`.
+    pub fn f64(self, key: &str) -> Result<Option<f64>, String> {
+        self.typed(key, "a number", JsonValue::as_num)
+    }
+
+    /// The integer `key`, exactly: at most [`MAX_EXACT_INT`].
+    pub fn u64(self, key: &str) -> Result<Option<u64>, String> {
+        match self.f64(key)? {
+            Some(n) if n < 0.0 || n.fract() != 0.0 || n > MAX_EXACT_INT as f64 => Err(format!(
+                "'{key}' must be a non-negative integer representable in 53 bits"
+            )),
+            n => Ok(n.map(|n| n as u64)),
+        }
+    }
+
+    /// The integer `key` as a `usize`.
+    pub fn usize(self, key: &str) -> Result<Option<usize>, String> {
+        self.u64(key)?
+            .map(|n| usize::try_from(n).map_err(|_| format!("'{key}' does not fit a usize")))
+            .transpose()
+    }
+
+    fn typed<T>(
+        self,
+        key: &str,
+        what: &str,
+        read: impl FnOnce(&'a JsonValue) -> Option<T>,
+    ) -> Result<Option<T>, String> {
+        self.get(key)
+            .map(|v| read(v).ok_or_else(|| format!("'{key}' must be {what}")))
+            .transpose()
+    }
 }
 
 struct Parser<'a> {
