@@ -1,6 +1,6 @@
-//! Regenerates the MeNDA paper's tables and figures, runs one JSON job
-//! description, and load-tests the resident simulation service (whose
-//! daemon is the `menda-server` binary).
+//! Regenerates the MeNDA paper's tables and figures and runs one JSON job
+//! description through the batch path (the resident simulation service
+//! is the `menda-server` crate: its daemon and its `loadgen` load test).
 //!
 //! ```text
 //! repro all                 # every experiment at the default 1/64 scale
@@ -10,11 +10,10 @@
 //! repro --list              # available experiment ids
 //!
 //! repro job FILE            # run one JSON job description (batch path)
-//! repro serve-bench         # load-test the daemon, write SERVER_8.json
 //! ```
 //!
 //! Experiments that produce file artifacts (e.g. `trace`, `bench`,
-//! `serve-bench`) write into the output directory: `--out DIR` if given,
+//! `sweep`) write into the output directory: `--out DIR` if given,
 //! else `$MENDA_RESULTS_DIR`, else `results/`. The directory is resolved
 //! once here and passed down explicitly — nothing below the CLI reads
 //! the environment.

@@ -21,7 +21,6 @@ pub mod fig16;
 pub mod fig2;
 pub mod fig3;
 pub mod host;
-pub mod serve;
 pub mod sweep;
 pub mod tables;
 pub mod threads;
@@ -65,10 +64,11 @@ pub const ALL: &[&str] = &[
 ];
 
 /// Heavyweight experiments dispatchable by id but excluded from
-/// `repro all`: they exercise the infrastructure (daemon benchmarks,
-/// design-space sweeps) rather than reproduce a paper artifact, and are
-/// wall-clock heavy.
-pub const SERVICE: &[&str] = &["serve-bench", "sweep"];
+/// `repro all`: they exercise the infrastructure (the resumable
+/// design-space sweep) rather than reproduce a paper artifact, and are
+/// wall-clock heavy. The daemon's load test is the `menda-server`
+/// crate's `loadgen` binary.
+pub const SERVICE: &[&str] = &["sweep"];
 
 /// Dispatches an experiment by id. Artifacts (trace JSON, benchmark
 /// reports) are written into `dir`.
@@ -123,7 +123,6 @@ pub fn run_with(id: &str, scale: Scale, threads: usize, dir: &Path) -> Result<St
         "bench" => bench::run_with(scale, threads, dir),
         "backends" => backends::run(scale, dir),
         "checkpoint" => checkpoint::run(scale, dir),
-        "serve-bench" => serve::run(scale, dir),
         "sweep" => sweep::run(scale, dir),
         other => Err(format!(
             "unknown experiment '{other}'; available: {}, {}",

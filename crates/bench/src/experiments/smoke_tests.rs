@@ -313,24 +313,7 @@ fn sweep_converges_with_prefix_reuse() {
 fn unknown_experiment_is_an_error() {
     let err = experiments::run("fig99", tiny(), &scratch()).unwrap_err();
     assert!(err.contains("unknown experiment"), "unhelpful error: {err}");
-    assert!(err.contains("serve-bench"), "error must list service ids");
-}
-
-#[test]
-fn serve_bench_completes_a_small_load_test() {
-    let dir = std::env::temp_dir().join("menda-serve-smoke");
-    let _ = std::fs::remove_dir_all(&dir);
-    // Reduced job count: this checks the wiring (in-process daemon, load
-    // driver, artifact), not throughput. The CI server job runs the full
-    // 500-job version in release mode.
-    let r = experiments::serve::run_with(tiny(), &dir, 24).expect("serve-bench runs");
-    assert!(r.contains("completed jobs"), "report incomplete:\n{r}");
-    assert!(r.contains("p99 latency"), "no percentile in report:\n{r}");
-    let json = std::fs::read_to_string(dir.join("SERVER_8.json")).expect("artifact exists");
-    assert!(json.contains("\"completed\":24"), "bad artifact: {json}");
-    assert!(json.contains("\"failed\":0"), "jobs failed: {json}");
-    assert!(json.contains("\"diverged\":0"), "divergence: {json}");
-    let _ = std::fs::remove_dir_all(&dir);
+    assert!(err.contains("sweep"), "error must list service ids");
 }
 
 #[test]

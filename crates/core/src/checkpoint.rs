@@ -234,10 +234,10 @@ impl<T> From<ControlFlow<Vec<u8>, T>> for SnapshotOutcome<T> {
 /// [`LiveLaunch::finish`]. Advancing in several steps is bit-identical to
 /// one unbounded step, so a caller that runs a job in quanta keeps the
 /// launch live between them and pays for no serialization at all; the
-/// snapshot entry points ([`Engine::run_to_cycle`], [`Engine::resume`],
-/// [`Engine::resume_to_cycle`]) are compositions of the same steps. Each
-/// unit goes through the same start, advance and finish steps as in
-/// [`Engine::run`], which holds a unit only while it runs.
+/// snapshot entry point ([`Engine::run_to_cycle`]) is a composition of
+/// the same steps. Each unit goes through the same start, advance and
+/// finish steps as in [`Engine::run`], which holds a unit only while it
+/// runs.
 ///
 /// A restored launch runs every step under `catch_unwind`: a forged
 /// container (valid checksum over tampered bytes) can decode into a
@@ -266,58 +266,31 @@ fn contain<T>(
 }
 
 impl<'a, B: AcceleratorBackend> Engine<'a, B> {
-    /// Runs `spec` until every unit finishes or reaches device cycle
-    /// `pause_at`, whichever comes first. Units that reach the target
-    /// serialize; if *any* unit paused the whole launch is captured as a
-    /// snapshot (finished units serialize their terminal state alongside).
+    /// The engine's checkpoint entry: starts `spec` fresh, or restores
+    /// `resume` — a snapshot of the same kernel launch on this backend
+    /// and configuration — and runs until every unit finishes or reaches
+    /// device cycle `pause_at` (`None` never pauses). If *any* unit
+    /// paused, the whole launch is captured as a snapshot (finished units
+    /// serialize their terminal state alongside). A finished run is
+    /// bit-identical to [`Engine::run`]'s.
+    ///
+    /// Before touching any state, a restore revalidates the container,
+    /// the configuration fingerprint, the backend and every per-unit job
+    /// fingerprint.
     ///
     /// # Errors
     ///
-    /// [`SnapshotError::TracingActive`] when the launch pauses with
-    /// instrumentation enabled.
+    /// Any [`SnapshotError`] variant describing why `resume` cannot be
+    /// restored; [`SnapshotError::TracingActive`] when a snapshot would be
+    /// read or written with instrumentation enabled.
     pub fn run_to_cycle<S: KernelSpec>(
         &self,
         spec: &S,
-        pause_at: u64,
+        resume: Option<&[u8]>,
+        pause_at: Option<u64>,
     ) -> Result<SnapshotOutcome<S::Output>, SnapshotError> {
-        self.start(spec).settle(Some(pause_at)).map(Into::into)
-    }
-
-    /// Restores a snapshot produced by [`Engine::run_to_cycle`] (or
-    /// [`Engine::resume_to_cycle`]) and runs the kernel to completion.
-    ///
-    /// `spec` must describe the same kernel launch the snapshot was taken
-    /// from — the engine revalidates the configuration fingerprint, the
-    /// backend and every per-unit job fingerprint before touching any
-    /// state.
-    ///
-    /// # Errors
-    ///
-    /// Any [`SnapshotError`] variant describing why the snapshot cannot
-    /// be restored; the engine state is untouched on error.
-    pub fn resume<S: KernelSpec>(
-        &self,
-        spec: &S,
-        snapshot: &[u8],
-    ) -> Result<S::Output, SnapshotError> {
-        self.restore(spec, snapshot)?.finish()
-    }
-
-    /// Restores a snapshot and runs until completion or `pause_at`,
-    /// producing a new snapshot in the latter case — the building block of
-    /// incremental/preemptible simulation.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`Engine::resume`].
-    pub fn resume_to_cycle<S: KernelSpec>(
-        &self,
-        spec: &S,
-        snapshot: &[u8],
-        pause_at: u64,
-    ) -> Result<SnapshotOutcome<S::Output>, SnapshotError> {
-        self.restore(spec, snapshot)?
-            .settle(Some(pause_at))
+        ToCycle { resume, pause_at }
+            .drive(self, spec)
             .map(Into::into)
     }
 
@@ -534,23 +507,11 @@ impl<'l, B: AcceleratorBackend, S: KernelSpec> LiveLaunch<'l, B, S> {
             Ok(engine.assemble(spec, finished))
         })
     }
-
-    /// Advances to `pause_at`, then finishes if every unit did
-    /// (`Continue`), or captures the launch otherwise (`Break`).
-    pub(crate) fn settle(
-        mut self,
-        pause_at: Option<u64>,
-    ) -> Result<ControlFlow<Vec<u8>, S::Output>, SnapshotError> {
-        if self.advance(pause_at)? {
-            self.finish().map(ControlFlow::Continue)
-        } else {
-            self.snapshot().map(ControlFlow::Break)
-        }
-    }
 }
 
-/// Starts a launch — or restores it from `resume` — and runs it to
-/// `pause_at`, stopping with a snapshot if it paused there.
+/// [`Engine::run_to_cycle`] as a [`Drive`]: starts a launch — or
+/// restores it from `resume` — and runs it to `pause_at`, stopping with a
+/// snapshot if it paused there.
 pub(crate) struct ToCycle<'s> {
     pub(crate) resume: Option<&'s [u8]>,
     pub(crate) pause_at: Option<u64>,
@@ -564,11 +525,15 @@ impl Drive for ToCycle<'_> {
         engine: &Engine<'_, B>,
         spec: &S,
     ) -> Result<ControlFlow<Vec<u8>, S::Output>, SnapshotError> {
-        match self.resume {
+        let mut launch = match self.resume {
             Some(bytes) => engine.restore(spec, bytes)?,
             None => engine.start(spec),
-        }
-        .settle(self.pause_at)
+        };
+        Ok(if launch.advance(self.pause_at)? {
+            ControlFlow::Continue(launch.finish()?)
+        } else {
+            ControlFlow::Break(launch.snapshot()?)
+        })
     }
 }
 
@@ -610,9 +575,15 @@ mod tests {
         let m = gen::rmat(96, 768, gen::RmatParams::PAPER, 11);
         let engine = Engine::new(&cfg);
         let direct = engine.run(&spec(&m, &cfg));
-        let outcome = engine.run_to_cycle(&spec(&m, &cfg), 500).unwrap();
+        let outcome = engine
+            .run_to_cycle(&spec(&m, &cfg), None, Some(500))
+            .unwrap();
         let snapshot = outcome.snapshot().expect("run must pause at cycle 500");
-        let resumed = engine.resume(&spec(&m, &cfg), &snapshot).unwrap();
+        let resumed = engine
+            .run_to_cycle(&spec(&m, &cfg), Some(&snapshot), None)
+            .unwrap()
+            .finished()
+            .expect("an unbounded resume finishes");
         assert_eq!(direct.output, resumed.output);
         assert_eq!(direct.cycles, resumed.cycles);
         assert_eq!(direct.pu_stats, resumed.pu_stats);
@@ -624,9 +595,15 @@ mod tests {
         let m = gen::rmat(96, 768, gen::RmatParams::PAPER, 13);
         let engine = Engine::with_backend(&cfg, PimBackend);
         let direct = engine.run(&spec(&m, &cfg));
-        let outcome = engine.run_to_cycle(&spec(&m, &cfg), 700).unwrap();
+        let outcome = engine
+            .run_to_cycle(&spec(&m, &cfg), None, Some(700))
+            .unwrap();
         let snapshot = outcome.snapshot().expect("run must pause at cycle 700");
-        let resumed = engine.resume(&spec(&m, &cfg), &snapshot).unwrap();
+        let resumed = engine
+            .run_to_cycle(&spec(&m, &cfg), Some(&snapshot), None)
+            .unwrap()
+            .finished()
+            .expect("an unbounded resume finishes");
         assert_eq!(direct.output, resumed.output);
         assert_eq!(direct.cycles, resumed.cycles);
         assert_eq!(direct.pu_stats, resumed.pu_stats);
@@ -638,7 +615,9 @@ mod tests {
         let m = gen::uniform(24, 96, 3);
         let engine = Engine::new(&cfg);
         let direct = engine.run(&spec(&m, &cfg));
-        let outcome = engine.run_to_cycle(&spec(&m, &cfg), u64::MAX).unwrap();
+        let outcome = engine
+            .run_to_cycle(&spec(&m, &cfg), None, Some(u64::MAX))
+            .unwrap();
         let finished = outcome.finished().expect("must run to completion");
         assert_eq!(direct.output, finished.output);
         assert_eq!(direct.cycles, finished.cycles);
@@ -650,7 +629,9 @@ mod tests {
         let m = gen::uniform(16, 64, 5);
         let engine = Engine::new(&cfg);
         assert_eq!(
-            engine.run_to_cycle(&spec(&m, &cfg), 10).unwrap_err(),
+            engine
+                .run_to_cycle(&spec(&m, &cfg), None, Some(10))
+                .unwrap_err(),
             SnapshotError::TracingActive
         );
     }
@@ -701,7 +682,7 @@ mod tests {
         let m = gen::uniform(48, 384, 9);
         let engine = Engine::<MendaBackend>::new(&cfg);
         let snapshot = engine
-            .run_to_cycle(&spec(&m, &cfg), 300)
+            .run_to_cycle(&spec(&m, &cfg), None, Some(300))
             .unwrap()
             .snapshot()
             .unwrap();
@@ -710,7 +691,9 @@ mod tests {
         let mut bad = snapshot.clone();
         bad[0] ^= 0xff;
         assert_eq!(
-            engine.resume(&spec(&m, &cfg), &bad).unwrap_err(),
+            engine
+                .run_to_cycle(&spec(&m, &cfg), Some(&bad), None)
+                .unwrap_err(),
             SnapshotError::BadMagic
         );
         // Any mid-payload bit flip trips the checksum.
@@ -718,13 +701,17 @@ mod tests {
         let mid = bad.len() / 2;
         bad[mid] ^= 0x10;
         assert_eq!(
-            engine.resume(&spec(&m, &cfg), &bad).unwrap_err(),
+            engine
+                .run_to_cycle(&spec(&m, &cfg), Some(&bad), None)
+                .unwrap_err(),
             SnapshotError::ChecksumMismatch
         );
         // Truncation trips the checksum too.
         let short = &snapshot[..snapshot.len() - 9];
         assert_eq!(
-            engine.resume(&spec(&m, &cfg), short).unwrap_err(),
+            engine
+                .run_to_cycle(&spec(&m, &cfg), Some(short), None)
+                .unwrap_err(),
             SnapshotError::ChecksumMismatch
         );
         // A version bump with a refreshed checksum is rejected as such.
@@ -732,11 +719,15 @@ mod tests {
         bad[8] = 0xfe;
         refresh_checksum(&mut bad);
         assert_eq!(
-            engine.resume(&spec(&m, &cfg), &bad).unwrap_err(),
+            engine
+                .run_to_cycle(&spec(&m, &cfg), Some(&bad), None)
+                .unwrap_err(),
             SnapshotError::BadVersion
         );
         // The untouched snapshot still restores.
-        assert!(engine.resume(&spec(&m, &cfg), &snapshot).is_ok());
+        assert!(engine
+            .run_to_cycle(&spec(&m, &cfg), Some(&snapshot), None)
+            .is_ok());
     }
 
     #[test]
@@ -745,7 +736,7 @@ mod tests {
         let m = gen::uniform(48, 384, 9);
         let engine = Engine::new(&cfg);
         let snapshot = engine
-            .run_to_cycle(&spec(&m, &cfg), 300)
+            .run_to_cycle(&spec(&m, &cfg), None, Some(300))
             .unwrap()
             .snapshot()
             .unwrap();
@@ -755,14 +746,16 @@ mod tests {
         let other_engine = Engine::new(&other_cfg);
         assert_eq!(
             other_engine
-                .resume(&spec(&m, &other_cfg), &snapshot)
+                .run_to_cycle(&spec(&m, &other_cfg), Some(&snapshot), None)
                 .unwrap_err(),
             SnapshotError::ConfigMismatch
         );
         // Same configuration, different input matrix.
         let m2 = gen::uniform(48, 384, 10);
         assert_eq!(
-            engine.resume(&spec(&m2, &cfg), &snapshot).unwrap_err(),
+            engine
+                .run_to_cycle(&spec(&m2, &cfg), Some(&snapshot), None)
+                .unwrap_err(),
             SnapshotError::JobMismatch
         );
     }

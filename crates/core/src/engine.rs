@@ -95,7 +95,7 @@ impl<'a, B: AcceleratorBackend> Engine<'a, B> {
     }
 
     /// The configuration this engine simulates under (used by the
-    /// checkpoint entry points in [`crate::checkpoint`]).
+    /// checkpoint layer in [`crate::checkpoint`]).
     pub(crate) fn config(&self) -> &'a MendaConfig {
         self.config
     }

@@ -29,7 +29,7 @@ use menda_trace::TraceConfig;
 use menda_sparse::partition::RowPartition;
 
 use crate::backend::{AcceleratorBackend, BackendKind};
-use crate::checkpoint::{SnapshotError, ToCycle};
+use crate::checkpoint::{SnapshotError, SnapshotOutcome, ToCycle};
 use crate::config::MendaConfig;
 use crate::engine::{dispatch, Drive, Engine, KernelSpec, Straight};
 use crate::spgemm;
@@ -109,19 +109,8 @@ pub enum MatrixSource {
 }
 
 impl MatrixSource {
-    /// The nominal (unscaled) nonzero count of this source.
-    pub fn nominal_nnz(&self) -> u64 {
-        match self {
-            MatrixSource::Table3(name) => gen::table3_spec(name).map_or(0, |e| e.nnz as u64),
-            MatrixSource::Table4(name) => gen::suite_matrix(name).map_or(0, |e| e.nnz as u64),
-            MatrixSource::Uniform { nnz, .. }
-            | MatrixSource::Rmat { nnz, .. }
-            | MatrixSource::Banded { nnz, .. } => *nnz as u64,
-        }
-    }
-
-    /// The nonzero count after dividing by `scale` (the same clamping
-    /// rule as the generators: at least 1, at most `dim²`).
+    /// The nonzero count of the matrix this source generates at `scale`
+    /// ([`gen::scaled_size`]); 0 for an unknown Table 3 or Table 4 name.
     pub fn scaled_nnz(&self, scale: usize) -> u64 {
         let (dim, nnz) = match self {
             MatrixSource::Table3(name) => match gen::table3_spec(name) {
@@ -136,8 +125,7 @@ impl MatrixSource {
             | MatrixSource::Rmat { dim, nnz }
             | MatrixSource::Banded { dim, nnz, .. } => (*dim, *nnz),
         };
-        let dim = (dim / scale.max(1)).max(2);
-        ((nnz / scale.max(1)).max(1).min(dim.saturating_mul(dim))) as u64
+        gen::scaled_size(dim, nnz, scale).1 as u64
     }
 
     fn generate(&self, scale: usize, seed: u64) -> Result<CsrMatrix, JobError> {
@@ -153,13 +141,11 @@ impl MatrixSource {
                 .map(|e| e.generate_scaled(scale, seed))
                 .ok_or_else(|| JobError::Invalid(format!("unknown Table 4 matrix '{name}'"))),
             MatrixSource::Uniform { dim, nnz } => {
-                let dim = (dim / scale).max(2);
-                let nnz = (nnz / scale).max(1).min(dim * dim);
+                let (dim, nnz) = gen::scaled_size(*dim, *nnz, scale);
                 Ok(gen::uniform(dim, nnz, seed))
             }
             MatrixSource::Rmat { dim, nnz } => {
-                let dim = (dim / scale).max(2);
-                let nnz = (nnz / scale).max(1).min(dim * dim);
+                let (dim, nnz) = gen::scaled_size(*dim, *nnz, scale);
                 Ok(gen::rmat(dim, nnz, gen::RmatParams::PAPER, seed))
             }
             MatrixSource::Banded {
@@ -168,8 +154,7 @@ impl MatrixSource {
                 half_bandwidth,
                 scatter,
             } => {
-                let dim = (dim / scale).max(2);
-                let nnz = (nnz / scale).max(1).min(dim * dim);
+                let (dim, nnz) = gen::scaled_size(*dim, *nnz, scale);
                 let hb = (half_bandwidth / scale).clamp(1, dim);
                 Ok(gen::banded(dim, nnz, hb, *scatter, seed))
             }
@@ -486,11 +471,13 @@ impl JobSpec {
     /// Canonical JSON serialization with every field explicit, in fixed
     /// order. Parsing it back yields an equal spec.
     pub fn to_json(&self) -> String {
-        print_object(
-            JOB_FIELDS
-                .iter()
-                .map(|field| (field.key, (field.print)(self))),
-        )
+        let mut out = String::new();
+        let mut obj = ObjectPrinter::open(&mut out);
+        for field in JOB_FIELDS {
+            (field.print)(self, field.key, &mut obj);
+        }
+        obj.close();
+        out
     }
 
     /// Runs the job to completion.
@@ -548,31 +535,30 @@ impl JobSpec {
     /// job that pauses (its snapshot is refused), [`JobError::Failed`]
     /// for caught simulator panics.
     pub fn execute_to_cycle(&self, pause_at: u64) -> Result<JobProgress, JobError> {
-        self.run_to_cycle(None, Some(pause_at))
+        Ok(self
+            .run(ToCycle {
+                resume: None,
+                pause_at: Some(pause_at),
+            })?
+            .into())
     }
 
-    /// Restores a snapshot from [`JobSpec::execute_to_cycle`] (or
-    /// [`JobSpec::resume_to_cycle`]) and runs the job to completion.
+    /// Restores a snapshot from [`JobSpec::execute_to_cycle`] (or from
+    /// this method) and runs until completion or `pause_at`; `u64::MAX`
+    /// runs to completion.
     ///
     /// # Errors
     ///
     /// [`JobError::Invalid`] when the snapshot is corrupt or was taken
-    /// for a different job/configuration, plus [`JobSpec::execute`]'s
-    /// failure modes.
-    pub fn resume(&self, snapshot: &[u8]) -> Result<JobOutcome, JobError> {
-        match self.run_to_cycle(Some(snapshot), None)? {
-            JobProgress::Finished(outcome) => Ok(outcome),
-            JobProgress::Paused(_) => unreachable!("unbounded resume cannot pause"),
-        }
-    }
-
-    /// Restores a snapshot and runs until completion or `pause_at`.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`JobSpec::resume`].
+    /// for a different job/configuration, plus
+    /// [`JobSpec::execute_to_cycle`]'s failure modes.
     pub fn resume_to_cycle(&self, snapshot: &[u8], pause_at: u64) -> Result<JobProgress, JobError> {
-        self.run_to_cycle(Some(snapshot), Some(pause_at))
+        Ok(self
+            .run(ToCycle {
+                resume: Some(snapshot),
+                pause_at: Some(pause_at),
+            })?
+            .into())
     }
 
     /// Preemptible execution: runs the job in quanta of `quantum` device
@@ -595,17 +581,6 @@ impl JobSpec {
         self.run(Quanta {
             quantum: quantum.max(1),
             at_boundary,
-        })
-    }
-
-    fn run_to_cycle(
-        &self,
-        resume: Option<&[u8]>,
-        pause_at: Option<u64>,
-    ) -> Result<JobProgress, JobError> {
-        Ok(match self.run(ToCycle { resume, pause_at })? {
-            ControlFlow::Continue(outcome) => JobProgress::Finished(outcome),
-            ControlFlow::Break(snapshot) => JobProgress::Paused(snapshot),
         })
     }
 
@@ -691,15 +666,10 @@ impl JobSpec {
     }
 }
 
-/// Progress of a bounded ([`JobSpec::execute_to_cycle`]) job execution.
-#[derive(Debug, Clone)]
-pub enum JobProgress {
-    /// The job ran to completion.
-    Finished(JobOutcome),
-    /// The job paused at the requested cycle; the snapshot resumes it
-    /// ([`JobSpec::resume`] / [`JobSpec::resume_to_cycle`]).
-    Paused(Vec<u8>),
-}
+/// Progress of a bounded job execution ([`JobSpec::execute_to_cycle`],
+/// [`JobSpec::resume_to_cycle`]): the finished [`JobOutcome`], or the
+/// snapshot that resumes the job.
+pub type JobProgress = SnapshotOutcome<JobOutcome>;
 
 /// One live launch advanced a quantum at a time, asking `at_boundary`
 /// between quanta whether to go on; stops with the boundary cycle.
@@ -802,36 +772,40 @@ const SOURCES: &[SourceKind] = &[
 
 const USIZE: Codec<usize> = Codec {
     read: |obj, key| obj.usize(key).map_err(JobError::Parse),
-    print: |n| Some(n.to_string()),
+    print: |n, key, obj| obj.value(key, n),
 };
 const U64: Codec<u64> = Codec {
     read: |obj, key| obj.u64(key).map_err(JobError::Parse),
-    print: |n| Some(n.to_string()),
+    print: |n, key, obj| obj.value(key, n),
 };
 const BOOL: Codec<bool> = Codec {
     read: |obj, key| obj.bool(key).map_err(JobError::Parse),
-    print: |b| Some(b.to_string()),
+    print: |b, key, obj| obj.value(key, b),
 };
 /// `None` (automatic) prints as an absent key.
 const THREADS: Codec<Option<usize>> = Codec {
     read: |obj, key| Ok(obj.usize(key).map_err(JobError::Parse)?.map(Some)),
-    print: |threads| threads.map(|n| n.to_string()),
+    print: |threads, key, obj| {
+        if let Some(n) = threads {
+            obj.value(key, n);
+        }
+    },
 };
 const NAME: Codec<String> = Codec {
     read: |obj, key| Ok(obj.str(key).map_err(JobError::Parse)?.map(str::to_string)),
-    print: |name| Some(quote(name)),
+    print: |name, key, obj| obj.string(key, name),
 };
 /// Optional on the wire: an absent `scatter` reads as 0.
 const SCATTER: Codec<f64> = Codec {
     read: |obj, key| Ok(Some(obj.f64(key).map_err(JobError::Parse)?.unwrap_or(0.0))),
-    print: |x| Some(x.to_string()),
+    print: |x, key, obj| obj.value(key, x),
 };
 const MATRIX: Codec<MatrixSource> = Codec {
     read: |obj, key| match obj.get(key) {
         Some(value) => MatrixSource::from_json(value).map(Some),
         None => Err(JobError::Invalid(format!("missing required field '{key}'"))),
     },
-    print: |matrix| Some(matrix.to_json()),
+    print: |matrix, key, obj| matrix.print(obj.member(key)),
 };
 const KERNEL: Codec<JobKernel> = labels!("kernel", JobKernel::ALL, JobKernel::label);
 const BACKEND: Codec<BackendKind> = labels!("backend", BackendKind::ALL, BackendKind::label);
@@ -847,8 +821,9 @@ fn trace_mode(counting: &bool) -> &'static str {
 struct Codec<T> {
     /// Reads `key`; `Ok(None)` when it is absent.
     read: fn(Object<'_>, &str) -> Result<Option<T>, JobError>,
-    /// The canonical JSON of a value; `None` leaves its key out.
-    print: fn(&T) -> Option<String>,
+    /// Prints a value as member `key`; a value that prints nothing
+    /// leaves its key out.
+    print: fn(&T, &str, &mut ObjectPrinter<'_>),
 }
 
 /// A codec for values printed as their labels: `labels!(what, all,
@@ -867,7 +842,7 @@ macro_rules! labels {
                     JobError::Invalid(format!("unknown {} '{name}' (expected {expected})", $what))
                 })
             },
-            print: |value| Some(quote($label(value))),
+            print: |value, key, obj| obj.string(key, $label(value)),
         }
     };
 }
@@ -878,7 +853,8 @@ struct JobField {
     key: &'static str,
     /// Reads `key` into the spec when present.
     read: fn(&mut JobSpec, Object<'_>, &str) -> Result<(), JobError>,
-    print: fn(&JobSpec) -> Option<String>,
+    /// Prints the spec's field as member `key`.
+    print: fn(&JobSpec, &str, &mut ObjectPrinter<'_>),
 }
 
 /// Builds [`JOB_FIELDS`]: `field: CODEC` or `field as "key": CODEC`.
@@ -892,7 +868,7 @@ macro_rules! job_fields {
                 }
                 Ok(())
             },
-            print: |spec| ($codec.print)(&spec.$field),
+            print: |spec, key, obj| ($codec.print)(&spec.$field, key, obj),
         }),*]
     };
     (@key $field:ident) => { stringify!($field) };
@@ -905,8 +881,9 @@ struct SourceKind {
     label: &'static str,
     /// Checks the object's keys against this kind's and reads its fields.
     read: fn(Object<'_>) -> Result<MatrixSource, JobError>,
-    /// The canonical JSON of a source of this kind, `None` for another.
-    print: fn(&MatrixSource) -> Option<String>,
+    /// Prints a source of this kind as a JSON object into the buffer;
+    /// `false`, printing nothing, for a source of another kind.
+    print: fn(&MatrixSource, &mut String) -> bool,
 }
 
 /// Builds a [`SOURCES`] entry from `"label" => Variant(field: CODEC)` or
@@ -933,12 +910,15 @@ macro_rules! source_kind {
                 })?;)*
                 Ok($($shape)*)
             },
-            print: |matrix| match matrix {
-                $($shape)* => Some(print_object([
-                    ("source", Some(quote($label))),
-                    $((stringify!($field), ($codec.print)($field))),*
-                ])),
-                _ => None,
+            print: |matrix, out| match matrix {
+                $($shape)* => {
+                    let mut obj = ObjectPrinter::open(out);
+                    obj.string("source", $label);
+                    $(($codec.print)($field, stringify!($field), &mut obj);)*
+                    obj.close();
+                    true
+                }
+                _ => false,
             },
         }
     };
@@ -962,38 +942,52 @@ impl MatrixSource {
         (kind.read)(obj)
     }
 
-    fn to_json(&self) -> String {
-        SOURCES
-            .iter()
-            .find_map(|kind| (kind.print)(self))
-            .expect("every matrix source has a kind")
+    fn print(&self, out: &mut String) {
+        let printed = SOURCES.iter().any(|kind| (kind.print)(self, out));
+        assert!(printed, "every matrix source has a kind");
     }
 }
 
-/// A JSON string literal holding `s`.
-fn quote(s: &str) -> String {
-    format!("\"{}\"", escape(s))
+/// Prints one JSON object into a caller's buffer, member by member.
+struct ObjectPrinter<'b> {
+    out: &'b mut String,
+    empty: bool,
 }
 
-/// Prints `{"key": value, ...}` in the given order, leaving out keys
-/// whose value is `None`.
-fn print_object<'k, V: fmt::Display>(
-    fields: impl IntoIterator<Item = (&'k str, Option<V>)>,
-) -> String {
-    let mut out = String::from("{");
-    for (key, value) in fields {
-        if let Some(value) = value {
-            if out.len() > 1 {
-                out.push_str(", ");
-            }
-            out.push('"');
-            out.push_str(key);
-            out.push_str("\": ");
-            let _ = write!(out, "{value}");
+impl<'b> ObjectPrinter<'b> {
+    fn open(out: &'b mut String) -> Self {
+        out.push('{');
+        Self { out, empty: true }
+    }
+
+    /// Starts member `key` and returns the buffer its value goes into.
+    fn member(&mut self, key: &str) -> &mut String {
+        if !self.empty {
+            self.out.push_str(", ");
         }
+        self.empty = false;
+        self.out.push('"');
+        self.out.push_str(key);
+        self.out.push_str("\": ");
+        self.out
     }
-    out.push('}');
-    out
+
+    /// Member `key` printed as `value` displays.
+    fn value(&mut self, key: &str, value: impl fmt::Display) {
+        let _ = write!(self.member(key), "{value}");
+    }
+
+    /// Member `key` as a JSON string literal holding `s`.
+    fn string(&mut self, key: &str, s: &str) {
+        let out = self.member(key);
+        out.push('"');
+        out.push_str(&escape(s));
+        out.push('"');
+    }
+
+    fn close(self) {
+        self.out.push('}');
+    }
 }
 
 /// Deterministic input vector for SpMV jobs, derived from the seed (the
@@ -1104,20 +1098,19 @@ impl PuSummary {
         }
     }
 
-    fn to_json(&self) -> String {
-        let fields = [
-            ("cycles", self.cycles),
-            ("iterations", self.iterations),
-            ("loads_issued", self.loads_issued),
-            ("loads_coalesced", self.loads_coalesced),
-            ("stores_issued", self.stores_issued),
-            ("row_hits", self.row_hits),
-            ("row_misses", self.row_misses),
-            ("row_conflicts", self.row_conflicts),
-            ("dram_reads", self.dram_reads),
-            ("dram_writes", self.dram_writes),
-        ];
-        print_object(fields.map(|(key, n)| (key, Some(n))))
+    fn print(&self, out: &mut String) {
+        let mut obj = ObjectPrinter::open(out);
+        obj.value("cycles", self.cycles);
+        obj.value("iterations", self.iterations);
+        obj.value("loads_issued", self.loads_issued);
+        obj.value("loads_coalesced", self.loads_coalesced);
+        obj.value("stores_issued", self.stores_issued);
+        obj.value("row_hits", self.row_hits);
+        obj.value("row_misses", self.row_misses);
+        obj.value("row_conflicts", self.row_conflicts);
+        obj.value("dram_reads", self.dram_reads);
+        obj.value("dram_writes", self.dram_writes);
+        obj.close();
     }
 }
 
@@ -1156,25 +1149,35 @@ impl JobOutcome {
     /// fields, digests in fixed-width hex. Byte-identical across the
     /// batch CLI and the server for the same spec.
     pub fn to_json(&self) -> String {
-        let pu: Vec<String> = self.pu.iter().map(PuSummary::to_json).collect();
-        let pu = format!("[{}]", pu.join(", "));
-        let (kernel, backend) = (quote(self.kernel), quote(self.backend));
-        let digest = format!("\"{:016x}\"", self.output_digest);
-        let fields: [(&str, Option<&dyn fmt::Display>); 12] = [
-            ("job", Some(&self.job)),
-            ("kernel", Some(&kernel)),
-            ("backend", Some(&backend)),
-            ("nrows", Some(&self.nrows)),
-            ("ncols", Some(&self.ncols)),
-            ("nnz", Some(&self.nnz)),
-            ("out_nnz", Some(&self.out_nnz)),
-            ("cycles", Some(&self.cycles)),
-            ("seconds", Some(&self.seconds)),
-            ("output_digest", Some(&digest)),
-            ("pu", Some(&pu)),
-            ("trace_events", self.trace_events.as_ref().map(|n| n as _)),
-        ];
-        print_object(fields)
+        let mut out = String::new();
+        let mut obj = ObjectPrinter::open(&mut out);
+        obj.member("job").push_str(&self.job);
+        obj.string("kernel", self.kernel);
+        obj.string("backend", self.backend);
+        obj.value("nrows", self.nrows);
+        obj.value("ncols", self.ncols);
+        obj.value("nnz", self.nnz);
+        obj.value("out_nnz", self.out_nnz);
+        obj.value("cycles", self.cycles);
+        obj.value("seconds", self.seconds);
+        obj.value(
+            "output_digest",
+            format_args!("\"{:016x}\"", self.output_digest),
+        );
+        let pu = obj.member("pu");
+        pu.push('[');
+        for (i, summary) in self.pu.iter().enumerate() {
+            if i > 0 {
+                pu.push_str(", ");
+            }
+            summary.print(pu);
+        }
+        pu.push(']');
+        if let Some(events) = self.trace_events {
+            obj.value("trace_events", events);
+        }
+        obj.close();
+        out
     }
 
     /// FNV-1a digest of [`JobOutcome::to_json`] — the compact
@@ -1390,6 +1393,44 @@ mod tests {
             0,
             "unknown names cost nothing (they are rejected by validate)"
         );
+        // The cost is the generated matrix's size for every source kind,
+        // clamps included: at 1/65536 N1 is 4x4 with 52 nonzeros asked
+        // for, at 1/2^24 every named matrix is 2x2, and at 1/1024 the
+        // 4096-row sources are 4x4 with 64 asked for.
+        let check = |source: &MatrixSource, scale: usize| {
+            let generated = source.generate(scale, 7).expect("known source");
+            let want = generated.nnz() as u64;
+            assert_eq!(source.scaled_nnz(scale), want, "{source:?} at 1/{scale}");
+        };
+        let tables = [
+            MatrixSource::Table3("N1".into()),
+            MatrixSource::Table3("P1".into()),
+        ];
+        let table4 = gen::TABLE4
+            .iter()
+            .map(|e| MatrixSource::Table4(e.name.into()));
+        for source in tables.into_iter().chain(table4) {
+            for scale in [4096, 65_536, 1 << 24] {
+                check(&source, scale);
+            }
+        }
+        let (dim, nnz) = (4096, 65_536);
+        let scatter = 0.1;
+        let half_bandwidth = 64;
+        for source in [
+            MatrixSource::Uniform { dim, nnz },
+            MatrixSource::Rmat { dim, nnz },
+            MatrixSource::Banded {
+                dim,
+                nnz,
+                half_bandwidth,
+                scatter,
+            },
+        ] {
+            for scale in [1, 16, 1024] {
+                check(&source, scale);
+            }
+        }
     }
 
     #[test]

@@ -89,26 +89,12 @@ impl Default for SpmvOptions {
 ///
 /// Panics if `x.len() != a.ncols()`.
 pub fn run(config: &MendaConfig, a: &CsrMatrix, x: &[f32]) -> SpmvResult {
-    run_with_options(config, a, x, SpmvOptions::default())
+    run_with_backend(config, a, x, SpmvOptions::default(), BackendKind::Menda)
 }
 
-/// [`run`] with explicit [`SpmvOptions`].
-///
-/// # Panics
-///
-/// Panics if `x.len() != a.ncols()`.
-pub fn run_with_options(
-    config: &MendaConfig,
-    a: &CsrMatrix,
-    x: &[f32],
-    options: SpmvOptions,
-) -> SpmvResult {
-    run_with_backend(config, a, x, options, BackendKind::Menda)
-}
-
-/// [`run_with_options`] on the backend `kind` names. Output values match
-/// the MeNDA backend to floating-point tolerance (reduction order is
-/// backend-specific), not bit for bit.
+/// [`run`] with explicit [`SpmvOptions`], on the backend `kind` names.
+/// Output values match the MeNDA backend to floating-point tolerance
+/// (reduction order is backend-specific), not bit for bit.
 ///
 /// # Panics
 ///
@@ -315,21 +301,23 @@ mod tests {
         // columns, which the auxiliary array skips (§3.6).
         let a = gen::uniform(1 << 11, 600, 37);
         let x = vec![1.0f32; 1 << 11];
-        let with_aux = run_with_options(
+        let with_aux = run_with_backend(
             &MendaConfig::small_test(),
             &a,
             &x,
             SpmvOptions {
                 aux_pointer_array: true,
             },
+            BackendKind::Menda,
         );
-        let without = run_with_options(
+        let without = run_with_backend(
             &MendaConfig::small_test(),
             &a,
             &x,
             SpmvOptions {
                 aux_pointer_array: false,
             },
+            BackendKind::Menda,
         );
         for (g, w) in with_aux.y.iter().zip(&without.y) {
             assert!((g - w).abs() <= 1e-4 * w.abs().max(1.0));

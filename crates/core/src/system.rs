@@ -142,8 +142,8 @@ impl MendaSystem {
 /// Transposition as an engine kernel: one gated CSR-row merge job per
 /// partition, assembled into a global CSC matrix.
 ///
-/// Public so drivers can run transposition through the checkpointing
-/// engine entry points ([`crate::checkpoint`]), which need the
+/// Public so callers can run transposition through the engine's
+/// checkpoint entry ([`crate::Engine::run_to_cycle`]), which needs the
 /// [`KernelSpec`] rather than the [`MendaSystem`] convenience wrapper.
 #[derive(Debug)]
 pub struct TransposeSpec<'m> {

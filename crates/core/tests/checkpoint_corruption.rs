@@ -329,18 +329,24 @@ fn jobspec_seam_reports_and_recovers() {
     let mut bad = snapshot.clone();
     let mid = bad.len() / 2;
     bad[mid] ^= 0x40;
-    let err = spec.resume(&bad).expect_err("corrupt snapshot must fail");
+    let err = spec
+        .resume_to_cycle(&bad, u64::MAX)
+        .expect_err("corrupt snapshot must fail");
     assert!(err.to_string().contains("snapshot"), "unexpected: {err}");
 
     // So do someone else's bytes.
     let mut other = spec.clone();
     other.seed = 24;
-    assert!(other.resume(&snapshot).is_err());
+    assert!(other.resume_to_cycle(&snapshot, u64::MAX).is_err());
 
     // And after both failures the rightful owner still restores to the
     // byte-identical outcome.
     let straight = spec.execute().expect("straight run");
-    let resumed = spec.resume(&snapshot).expect("owner resumes");
+    let resumed = spec
+        .resume_to_cycle(&snapshot, u64::MAX)
+        .expect("owner resumes")
+        .finished()
+        .expect("an unbounded resume finishes");
     assert_eq!(straight.to_json(), resumed.to_json());
     assert_eq!(straight.digest(), resumed.digest());
 }

@@ -106,20 +106,22 @@ fn pause_restore_check<B: AcceleratorBackend + Copy>(
     what: &str,
 ) {
     let paused = Engine::with_backend(cfg_pause, backend)
-        .run_to_cycle(&spec(m, cfg_pause), pause_at)
+        .run_to_cycle(&spec(m, cfg_pause), None, Some(pause_at))
         .unwrap_or_else(|e| panic!("{what}: pause at {pause_at} failed: {e}"));
     match paused.snapshot() {
         Some(snapshot) => {
             let resumed = Engine::with_backend(cfg_resume, backend)
-                .resume(&spec(m, cfg_resume), &snapshot)
-                .unwrap_or_else(|e| panic!("{what}: resume from {pause_at} failed: {e}"));
+                .run_to_cycle(&spec(m, cfg_resume), Some(&snapshot), None)
+                .unwrap_or_else(|e| panic!("{what}: resume from {pause_at} failed: {e}"))
+                .finished()
+                .expect("an unbounded resume finishes");
             assert_identical(direct, &resumed, &format!("{what} @ {pause_at}"));
         }
         None => {
             // Ran to completion before the pause target; the bounded run
             // itself must still match the straight-through run.
             let finished = Engine::with_backend(cfg_pause, backend)
-                .run_to_cycle(&spec(m, cfg_pause), pause_at)
+                .run_to_cycle(&spec(m, cfg_pause), None, Some(pause_at))
                 .unwrap()
                 .finished()
                 .expect("checked paused above");
@@ -296,7 +298,7 @@ fn snapshots_cross_restore_between_serial_and_threaded() {
     });
 }
 
-/// Chained `resume_to_cycle` hops — pause, restore, pause again — land
+/// Chained `run_to_cycle` hops — pause, restore, pause again — land
 /// on the same terminal state as the uninterrupted run.
 #[test]
 fn chained_pause_hops_match_straight_run() {
@@ -330,7 +332,7 @@ fn chained_hops<B: AcceleratorBackend + Copy>(
     let engine = Engine::with_backend(cfg, backend);
     let mut pause_at = quantum;
     let mut outcome = engine
-        .run_to_cycle(&spec(m, cfg), pause_at)
+        .run_to_cycle(&spec(m, cfg), None, Some(pause_at))
         .expect("first hop");
     let mut hops = 0u32;
     loop {
@@ -343,14 +345,14 @@ fn chained_hops<B: AcceleratorBackend + Copy>(
                 hops += 1;
                 pause_at += quantum;
                 outcome = engine
-                    .resume_to_cycle(&spec(m, cfg), &snapshot, pause_at)
+                    .run_to_cycle(&spec(m, cfg), Some(&snapshot), Some(pause_at))
                     .expect("resume hop");
             }
         }
     }
 }
 
-/// A zero-progress hop — `resume_to_cycle` onto the cycle the snapshot
+/// A zero-progress hop — a restore onto the cycle the snapshot
 /// already paused at — restores and re-captures the launch without
 /// simulating, so it must hand back the snapshot byte for byte. Covers
 /// both backends, both execution paths and serial/threaded engines.
@@ -375,19 +377,19 @@ fn zero_progress_hops<B: AcceleratorBackend + Copy>(
 ) {
     let engine = Engine::with_backend(cfg, backend);
     let total = engine
-        .run_to_cycle(&spec(m, cfg), u64::MAX)
+        .run_to_cycle(&spec(m, cfg), None, Some(u64::MAX))
         .expect("straight run")
         .finished()
         .expect("unbounded pause target finishes")
         .cycles;
     for pause_at in [1, total / 3, total / 2, total.saturating_sub(1)] {
         let snapshot = engine
-            .run_to_cycle(&spec(m, cfg), pause_at)
+            .run_to_cycle(&spec(m, cfg), None, Some(pause_at))
             .expect("pause")
             .snapshot()
             .unwrap_or_else(|| panic!("{what}: run finished before cycle {pause_at}"));
         let again = engine
-            .resume_to_cycle(&spec(m, cfg), &snapshot, pause_at)
+            .run_to_cycle(&spec(m, cfg), Some(&snapshot), Some(pause_at))
             .expect("zero-progress hop")
             .snapshot()
             .unwrap_or_else(|| panic!("{what}: zero-progress hop @ {pause_at} finished"));
@@ -554,7 +556,11 @@ fn xoshiro_fuzzed_pause_cycles_restore_bit_identically() {
                     let k = rng.random_range(1..straight.cycles.max(2) as usize) as u64;
                     let resumed = match js.execute_to_cycle(k).expect("pause") {
                         JobProgress::Finished(outcome) => outcome,
-                        JobProgress::Paused(snapshot) => js.resume(&snapshot).expect("resume"),
+                        JobProgress::Paused(snapshot) => js
+                            .resume_to_cycle(&snapshot, u64::MAX)
+                            .expect("resume")
+                            .finished()
+                            .expect("an unbounded resume finishes"),
                     };
                     assert_eq!(
                         straight.to_json(),

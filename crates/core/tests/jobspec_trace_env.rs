@@ -21,6 +21,7 @@ fn execute_to_cycle_pauses_with_menda_trace_set() {
     let JobProgress::Paused(snapshot) = spec.execute_to_cycle(pause).unwrap() else {
         panic!("no pause at cycle {pause}");
     };
-    assert_eq!(spec.resume(&snapshot).unwrap(), finished);
+    let resumed = spec.resume_to_cycle(&snapshot, u64::MAX).unwrap();
+    assert_eq!(resumed.finished(), Some(finished));
     assert!(!spec.build_config().unwrap().dram.trace.enabled());
 }

@@ -141,17 +141,21 @@ fn engine_case<B: AcceleratorBackend + Copy>(
     assert_eq!(direct.output, m.to_csc(), "{case}: straight run is wrong");
     let pause = pause_at(direct.cycles);
     let snapshot = engine
-        .run_to_cycle(&spec(), pause)
+        .run_to_cycle(&spec(), None, Some(pause))
         .unwrap()
         .snapshot()
         .unwrap_or_else(|| panic!("{case}: no pause at cycle {pause}"));
     let again = engine
-        .resume_to_cycle(&spec(), &snapshot, pause)
+        .run_to_cycle(&spec(), Some(&snapshot), Some(pause))
         .unwrap()
         .snapshot()
         .unwrap_or_else(|| panic!("{case}: restored run did not pause"));
     assert!(again == snapshot, "{case}: re-pause changed the container");
-    let resumed = engine.resume(&spec(), &snapshot).unwrap();
+    let resumed = engine
+        .run_to_cycle(&spec(), Some(&snapshot), None)
+        .unwrap()
+        .finished()
+        .expect("an unbounded resume finishes");
     assert_eq!(result_digest(&resumed), result_digest(&direct), "{case}");
     check(case, &snapshot, result_digest(&direct), pin);
     (direct, pause)
@@ -170,7 +174,8 @@ fn jobspec_case(case: &str, spec: &JobSpec, pin: Pin) {
         panic!("{case}: restored run did not pause");
     };
     assert!(again == snapshot, "{case}: re-pause changed the container");
-    assert_eq!(spec.resume(&snapshot).unwrap(), direct, "{case}");
+    let resumed = spec.resume_to_cycle(&snapshot, u64::MAX).unwrap();
+    assert_eq!(resumed.finished().as_ref(), Some(&direct), "{case}");
     check(case, &snapshot, direct.digest(), pin);
 }
 

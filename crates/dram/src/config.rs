@@ -308,11 +308,6 @@ impl DramConfig {
     pub fn peak_bandwidth_gbs(&self) -> f64 {
         self.peak_bandwidth_bytes_per_sec() / 1e9
     }
-
-    /// Duration of one bus cycle in nanoseconds.
-    pub fn clock_ns(&self) -> f64 {
-        1e3 / self.clock_mhz as f64
-    }
 }
 
 impl Default for DramConfig {

@@ -17,8 +17,8 @@ fn usage() -> String {
         "  --preemption-quantum N\n",
         "                     run jobs in N-device-cycle quanta and stop a job\n",
         "                     past its deadline at the next quantum boundary\n",
-        "                     (default: run to completion; results are\n",
-        "                     bit-identical either way)\n",
+        "                     (default 65536; results are bit-identical at\n",
+        "                     every quantum)\n",
         "  --threads N        engine worker threads for jobs that leave\n",
         "                     'threads' unset, in [1, 1024] (default: engine\n",
         "                     auto; outcomes are bit-identical at every count)\n",

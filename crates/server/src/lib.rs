@@ -18,8 +18,7 @@
 //! plus p50/p90/p99 latency (persisted as `results/SERVER_8.json`).
 //!
 //! Start a daemon with the `menda-server` binary, and drive it with the
-//! `loadgen` binary (or `repro serve-bench`, which also starts its own
-//! in-process daemon):
+//! `loadgen` binary:
 //!
 //! ```text
 //! $ menda-server --addr 127.0.0.1:7870 --workers 4 --queue 64

@@ -20,7 +20,7 @@
 //! byte-identical to the same job run through `repro job`, and the digest
 //! is the compact witness clients compare.
 
-use menda_core::{JobError, JobOutcome, JobSpec};
+use menda_core::{Digest, JobError, JobOutcome, JobSpec};
 use menda_trace::json::{escape, one_of, parse, Object};
 
 /// Longest request line the server accepts, in bytes. Longer lines are
@@ -312,13 +312,14 @@ impl Response {
         run_ms: u64,
         outcome: &JobOutcome,
     ) -> Response {
+        let stats = outcome.to_json();
         Response::Result {
             job_id,
             tag,
             queue_ms,
             run_ms,
-            stats: outcome.to_json(),
-            stats_digest: outcome.digest(),
+            stats_digest: Digest::of(stats.as_bytes()),
+            stats,
         }
     }
 

@@ -10,8 +10,8 @@
 //!        bounded FIFO queue ──▶ rejected{queue_full} when at capacity
 //!                │ pop
 //!                ▼
-//!        worker pool (N threads) — JobSpec::execute (or, with a
-//!        preemption quantum, JobSpec::execute_in_quanta), panics caught
+//!        worker pool (N threads) — JobSpec::execute_in_quanta, the
+//!        deadline checked between quanta, panics caught
 //!                │ per-connection mpsc
 //!                ▼
 //!        writer thread per connection ──▶ client (one write per line,
@@ -29,12 +29,12 @@
 //!   the reader thread on queue space.
 //! * **Deadlines are enforced at dispatch, between quanta and at
 //!   completion.** A job whose deadline expired while queued is failed
-//!   without running. With [`ServerConfig::preemption_quantum`] set, the
-//!   worker runs every job in quanta, traced ones included, checks the
-//!   deadline at every quantum boundary and stops an overdue job there,
-//!   naming the cycle it stopped at. A job that finishes past its
-//!   deadline is reported `deadline_exceeded` and its result discarded;
-//!   without a quantum that is the only check a running job gets.
+//!   without running. The worker runs every job in quanta, traced ones
+//!   included ([`ServerConfig::effective_quantum`] device cycles each),
+//!   checks the deadline at every quantum boundary and stops an overdue
+//!   job there, naming the cycle it stopped at. A job whose deadline
+//!   passes inside its last quantum is reported `deadline_exceeded` once
+//!   it finishes, and its result is discarded.
 //! * **Cancellation is queue-level.** `cancel` removes a queued job; a
 //!   running job is not cancelled and the cancel is rejected.
 //! * **Disconnects are absorbed.** If the submitting client is gone when
@@ -69,13 +69,14 @@ pub struct ServerConfig {
     pub max_job_nnz: u64,
     /// Largest accepted `deadline_ms`.
     pub max_deadline_ms: u64,
-    /// When set, workers execute every job in quanta of this many device
-    /// cycles ([`JobSpec::execute_in_quanta`]) instead of one
-    /// uninterrupted [`JobSpec::execute`]. The simulator state stays live
-    /// in memory between quanta; each boundary is where the worker checks
-    /// the job's deadline and stops it if overdue. Outcomes, trace event
-    /// counts included, are byte-identical either way (the preemption
-    /// suite asserts it).
+    /// Device cycles per quantum: workers execute every job in quanta
+    /// ([`JobSpec::execute_in_quanta`]), and `None` takes the default
+    /// ([`ServerConfig::effective_quantum`]). The simulator state stays
+    /// live in memory between quanta; each boundary is where the worker
+    /// checks the job's deadline and stops it if overdue. Outcomes, trace
+    /// event counts included, are byte-identical to
+    /// [`JobSpec::execute`]'s at every quantum (the preemption suite
+    /// asserts it).
     pub preemption_quantum: Option<u64>,
     /// Engine worker threads applied at admission to jobs that leave
     /// `threads` unset (`None` keeps the engine's own auto default).
@@ -98,6 +99,12 @@ impl Default for ServerConfig {
     }
 }
 
+/// Device cycles per quantum when [`ServerConfig::preemption_quantum`] is
+/// unset. 2^16 cycles are about 40 ms of host time between deadline
+/// checks on the `loadgen` mix's two-unit jobs and about 0.3 s on the
+/// paper's eight-unit system (one engine thread, 2-vCPU x86 host).
+const DEFAULT_QUANTUM: u64 = 1 << 16;
+
 impl ServerConfig {
     /// The effective worker count.
     pub fn effective_workers(&self) -> usize {
@@ -106,6 +113,11 @@ impl ServerConfig {
         } else {
             std::thread::available_parallelism().map_or(1, |n| n.get())
         }
+    }
+
+    /// The effective quantum in device cycles.
+    pub fn effective_quantum(&self) -> u64 {
+        self.preemption_quantum.unwrap_or(DEFAULT_QUANTUM)
     }
 }
 
@@ -602,16 +614,15 @@ fn worker_loop(shared: &Arc<Shared>) {
                 .reply
                 .send(Response::Started { job_id: job.id }.serialize());
             let run_started = Instant::now();
-            let result = match shared.config.preemption_quantum {
-                Some(quantum) => job.spec.execute_in_quanta(quantum, |_| {
+            let result = job
+                .spec
+                .execute_in_quanta(shared.config.effective_quantum(), |_| {
                     if job.deadline.is_some_and(|d| job.enqueued_at.elapsed() > d) {
                         ControlFlow::Break(())
                     } else {
                         ControlFlow::Continue(())
                     }
-                }),
-                None => job.spec.execute().map(ControlFlow::Continue),
-            };
+                });
             let run_wall = run_started.elapsed();
             let total = job.enqueued_at.elapsed();
             match result {

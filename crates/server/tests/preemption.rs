@@ -4,8 +4,8 @@
 //! to the uninterrupted run, both through the library seam
 //! ([`JobSpec::execute_in_quanta`]) and through a live daemon
 //! whose workers run with [`ServerConfig::preemption_quantum`] set. A
-//! daemon with a quantum also stops an overdue job at the first quantum
-//! boundary past its deadline.
+//! daemon, with or without a configured quantum, also stops an overdue
+//! job at the first quantum boundary past its deadline.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -97,13 +97,15 @@ fn snapshot_rejected_for_different_job() {
     let JobProgress::Paused(snapshot) = spec.execute_to_cycle(300).expect("pause") else {
         panic!("job finished before the pause target");
     };
-    let err = other.resume(&snapshot).expect_err("must reject");
+    let err = other
+        .resume_to_cycle(&snapshot, u64::MAX)
+        .expect_err("must reject");
     assert!(
         err.to_string().contains("snapshot"),
         "unexpected error: {err}"
     );
     // The owning job still resumes fine.
-    assert!(spec.resume(&snapshot).is_ok());
+    assert!(spec.resume_to_cycle(&snapshot, u64::MAX).is_ok());
 }
 
 /// A daemon with the preemption quantum set serves byte-identical
@@ -214,88 +216,90 @@ fn daemon_with_quantum_runs_traced_jobs_in_quanta() {
     server.join();
 }
 
-/// A running job's deadline is enforced between quanta: a job whose
+/// A running job's deadline is enforced between quanta, on a daemon
+/// with a configured quantum and on one left at the default: a job whose
 /// uninterrupted run takes far longer than its deadline (about 2 s and
 /// 3M cycles in release on a 2-core Xeon, against 50 ms) fails mid-run at
 /// a quantum boundary instead of running to completion, and the worker
 /// serves the next job.
 #[test]
 fn daemon_stops_overdue_job_at_a_quantum_boundary() {
-    const QUANTUM: u64 = 1000;
-    let mut server = ServerHandle::bind(
-        "127.0.0.1:0",
-        ServerConfig {
+    for preemption_quantum in [Some(1000), None] {
+        let config = ServerConfig {
             workers: 1,
-            preemption_quantum: Some(QUANTUM),
+            preemption_quantum,
             ..ServerConfig::default()
-        },
-    )
-    .expect("bind ephemeral port");
+        };
+        let quantum = config.effective_quantum();
+        let mut server = ServerHandle::bind("127.0.0.1:0", config).expect("bind ephemeral port");
 
-    let mut long = JobSpec::new(MatrixSource::Uniform {
-        dim: 32_768,
-        nnz: 524_288,
-    });
-    long.channels = 1;
-    long.ranks_per_channel = 1;
-    long.leaves = 64;
-    long.threads = Some(1);
-    long.fast_forward = false;
+        let mut long = JobSpec::new(MatrixSource::Uniform {
+            dim: 32_768,
+            nnz: 524_288,
+        });
+        long.channels = 1;
+        long.ranks_per_channel = 1;
+        long.leaves = 64;
+        long.threads = Some(1);
+        long.fast_forward = false;
 
-    let stream = TcpStream::connect(server.local_addr()).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(120)))
-        .expect("read timeout");
-    let mut writer = stream.try_clone().expect("clone");
-    let mut reader = BufReader::new(stream);
-    let mut submit = |spec: &JobSpec, deadline: &str| {
-        writer
-            .write_all(
-                format!(
-                    "{{\"op\":\"submit\",\"job\":{}{deadline}}}\n",
-                    spec.to_json()
+        let stream = TcpStream::connect(server.local_addr()).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(120)))
+            .expect("read timeout");
+        let mut writer = stream.try_clone().expect("clone");
+        let mut reader = BufReader::new(stream);
+        let mut submit = |spec: &JobSpec, deadline: &str| {
+            writer
+                .write_all(
+                    format!(
+                        "{{\"op\":\"submit\",\"job\":{}{deadline}}}\n",
+                        spec.to_json()
+                    )
+                    .as_bytes(),
                 )
-                .as_bytes(),
-            )
-            .expect("send");
-    };
-    let mut next_result = || loop {
-        let mut line = String::new();
-        assert!(reader.read_line(&mut line).expect("recv") > 0, "hangup");
-        let value = json::parse(line.trim()).expect("response parses");
-        if value.get("type").and_then(JsonValue::as_str) == Some("result") {
-            break value;
-        }
-    };
+                .expect("send");
+        };
+        let mut next_result = || loop {
+            let mut line = String::new();
+            assert!(reader.read_line(&mut line).expect("recv") > 0, "hangup");
+            let value = json::parse(line.trim()).expect("response parses");
+            if value.get("type").and_then(JsonValue::as_str) == Some("result") {
+                break value;
+            }
+        };
 
-    submit(&long, ",\"deadline_ms\":50");
-    let failed = next_result();
-    assert!(
-        matches!(failed.get("ok"), Some(JsonValue::Bool(false))),
-        "overdue job must fail: {failed:?}"
-    );
-    let error = failed
-        .get("error")
-        .and_then(JsonValue::as_str)
-        .expect("error string");
-    let cycle: u64 = error
-        .strip_prefix("deadline_exceeded: stopped at cycle ")
-        .and_then(|rest| rest.split(' ').next())
-        .and_then(|n| n.parse().ok())
-        .unwrap_or_else(|| panic!("job must stop mid-run, got: {error}"));
-    assert!(
-        cycle > 0 && cycle.is_multiple_of(QUANTUM),
-        "must stop at a quantum boundary, got cycle {cycle}"
-    );
+        submit(&long, ",\"deadline_ms\":50");
+        let failed = next_result();
+        assert!(
+            matches!(failed.get("ok"), Some(JsonValue::Bool(false))),
+            "quantum {preemption_quantum:?}: overdue job must fail: {failed:?}"
+        );
+        let error = failed
+            .get("error")
+            .and_then(JsonValue::as_str)
+            .expect("error string");
+        let cycle: u64 = error
+            .strip_prefix("deadline_exceeded: stopped at cycle ")
+            .and_then(|rest| rest.split(' ').next())
+            .and_then(|n| n.parse().ok())
+            .unwrap_or_else(|| {
+                panic!("quantum {preemption_quantum:?}: job must stop mid-run, got: {error}")
+            });
+        assert!(
+            cycle > 0 && cycle.is_multiple_of(quantum),
+            "quantum {preemption_quantum:?}: must stop at a multiple of {quantum}, got cycle {cycle}"
+        );
 
-    // The worker is free again and serves the next job to completion.
-    submit(&base_spec(), "");
-    let served = next_result();
-    assert!(
-        matches!(served.get("ok"), Some(JsonValue::Bool(true))),
-        "follow-up job failed: {served:?}"
-    );
+        // The worker is free again and serves the next job to completion.
+        submit(&base_spec(), "");
+        let served = next_result();
+        assert!(
+            matches!(served.get("ok"), Some(JsonValue::Bool(true))),
+            "quantum {preemption_quantum:?}: follow-up job failed: {served:?}"
+        );
 
-    server.shutdown(true);
-    server.join();
+        server.shutdown(true);
+        server.join();
+    }
 }

@@ -1,7 +1,7 @@
 //! End-to-end tests for the simulation service: every protocol error
 //! path answers with a structured error and the daemon keeps serving;
 //! a wire-submitted job is bit-identical to the batch path; shutdown
-//! drains cleanly.
+//! drains cleanly; `loadgen` completes a small load test.
 //!
 //! Wire taxonomy (see `menda_server::protocol`): every response carries
 //! `type` and `ok`; job terminations are `type: "result"` with
@@ -12,7 +12,7 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use menda_core::{Digest, JobKernel, JobSpec, MatrixSource};
-use menda_server::{ServerConfig, ServerHandle, MAX_LINE_BYTES};
+use menda_server::{loadgen, LoadgenOptions, ServerConfig, ServerHandle, MAX_LINE_BYTES};
 use menda_trace::json::{self, JsonValue, Object};
 
 /// A test client: line-in/line-out over one connection. `recv` keeps the
@@ -538,4 +538,35 @@ fn submits_after_drain_are_rejected_shutting_down() {
     assert!(saw_reject, "submit during drain must be rejected");
     admin.join().expect("admin thread");
     server.join();
+}
+
+/// `loadgen` end to end: an in-process daemon serves 24 jobs of the
+/// deterministic mix over four pipelined connections, and the load
+/// test's differential re-executions match the batch path. This checks
+/// the wiring, not throughput; the CI server job runs 500 jobs against
+/// the standalone daemon with the `loadgen` binary.
+#[test]
+fn loadgen_completes_a_small_load_test() {
+    let mut server = start_server(ServerConfig {
+        workers: 0, // one per core
+        queue_capacity: 32,
+        ..ServerConfig::default()
+    });
+    let report = loadgen::run(&LoadgenOptions {
+        addr: server.local_addr().to_string(),
+        connections: 4,
+        jobs: 24,
+        window: 4,
+        scale: 512,
+        deadline_ms: None,
+        verify_every: 25,
+    });
+    server.shutdown(true);
+    server.join();
+    let report = report.expect("load test runs");
+    let json = report.to_json();
+    assert!(json.contains("\"completed\":24"), "bad report: {json}");
+    assert!(json.contains("\"failed\":0"), "jobs failed: {json}");
+    assert!(json.contains("\"diverged\":0"), "divergence: {json}");
+    assert!(report.verified > 0, "no differential check ran: {json}");
 }

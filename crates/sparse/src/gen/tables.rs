@@ -2,7 +2,7 @@
 
 use crate::CsrMatrix;
 
-use super::{rmat, uniform, RmatParams};
+use super::{rmat, scaled_size, uniform, RmatParams};
 
 /// One row of Table 3: a named synthetic matrix specification.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,8 +137,7 @@ impl Table3Entry {
     /// Panics if `scale == 0`.
     pub fn generate_scaled(&self, scale: usize, seed: u64) -> CsrMatrix {
         assert!(scale > 0, "scale must be positive");
-        let dim = (self.dimension / scale).max(2);
-        let nnz = (self.nnz / scale).max(1).min(dim * dim);
+        let (dim, nnz) = scaled_size(self.dimension, self.nnz, scale);
         if self.is_power_law() {
             rmat(dim, nnz, RmatParams::PAPER, seed)
         } else {
